@@ -70,6 +70,7 @@ from .protocol import (
     distilled_visibility,
     downgrade_visibility,
     fidelity_from_visibility,
+    ghz_teleport_fidelity,
     recurrence_step,
     simulate_partial_distillation,
     visibility_from_fidelity,

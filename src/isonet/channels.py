@@ -9,6 +9,7 @@ n-qubit GHZ state after every share went through one such channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -16,9 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .hilbert import (
-    MAX_DENSE_DIM,
-    CapacityError,
     DensityOperator,
+    _require_capacity,
     ghz,
     max_entangled,
     partial_trace,
@@ -77,6 +77,15 @@ class NoisyTeleportChannel:
         return apply_noisy_teleport(pair, self.p, 1)
 
 
+def _saturating_pow2(exponent: float) -> float:
+    """2.0 ** exponent, or inf where that leaves the float range (exponent
+    above ~1024); visibilities p ** inf then read 0 below p = 1 and 1 at it."""
+    try:
+        return 2.0 ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def path_teleport_visibility(p: float, length: int) -> float:
     """End-to-end visibility p^(2^(length-1)) of teleportation along a path.
 
@@ -87,7 +96,7 @@ def path_teleport_visibility(p: float, length: int) -> float:
         raise ValueError(f"visibility {p} outside [0, 1]")
     if length < 1:
         raise ValueError("path length must be at least 1")
-    return float(p) ** (2.0 ** (length - 1))
+    return float(p) ** _saturating_pow2(length - 1)
 
 
 def star_teleport(rho: DensityOperator, p: float) -> DensityOperator:
@@ -141,8 +150,7 @@ def teleported_ghz_closed_form(n: int, p: float) -> DensityOperator:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"visibility {p} outside [0, 1]")
     total = 2**n
-    if total > MAX_DENSE_DIM:
-        raise CapacityError(f"dense assembly of dimension {total} exceeds {MAX_DENSE_DIM}")
+    _require_capacity(total)
     diag = np.zeros(total)
     for k in range(1, n):
         weight = p ** (n - k) * (1.0 - p) ** k

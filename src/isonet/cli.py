@@ -23,7 +23,7 @@ from .graphs import (
     generate,
     read_edge_list,
 )
-from .protocol import simulate_partial_distillation
+from .protocol import default_center, simulate_partial_distillation
 from .spectra import is_ppt_teleported_ghz, min_eigenvalue_teleported_ghz, ppt_crossover
 from .spiders import decomposition_lines, extract_spiders, grid_spiders, spider_guarantee
 
@@ -138,9 +138,7 @@ def _parse_subset(spec: str) -> tuple[int, ...]:
 def cmd_spider(args) -> int:
     g, graph_id = _load_graph(args)
     subset = _parse_subset(args.subset)
-    center = args.center if args.center is not None else max(
-        sorted(subset), key=lambda v: (g.degree(v), -v)
-    )
+    center = args.center if args.center is not None else default_center(g, subset)
     if args.method == "grid":
         if args.family != "grid":
             raise ValueError("--method grid needs --family grid")
@@ -259,24 +257,23 @@ def cmd_protocol(args) -> int:
         lines.extend(_report_text(run(p_values[0])))
     else:
         lines.append("graph_id,N,m,p,c,p0,M_n,spiders_found,p_prime_min,fidelity")
-        with ThreadPoolExecutor() as pool:
-            for report in pool.map(run, p_values):
-                lines.append(
-                    ",".join(
-                        [
-                            report.graph_id,
-                            _fmt(report.vertex_count),
-                            _fmt(len(report.plan.subset)),
-                            _fmt(report.p),
-                            _fmt(float(report.plan.ratio_c)),
-                            _fmt(report.plan.p0),
-                            _fmt(report.plan.spider_budget),
-                            _fmt(report.spiders_found),
-                            _fmt(report.p_prime_min),
-                            _fmt(report.final_fidelity),
-                        ]
-                    )
+        for report in map(run, p_values):
+            lines.append(
+                ",".join(
+                    [
+                        report.graph_id,
+                        _fmt(report.vertex_count),
+                        _fmt(len(report.plan.subset)),
+                        _fmt(report.p),
+                        _fmt(float(report.plan.ratio_c)),
+                        _fmt(report.plan.p0),
+                        _fmt(report.plan.spider_budget),
+                        _fmt(report.spiders_found),
+                        _fmt(report.p_prime_min),
+                        _fmt(report.final_fidelity),
+                    ]
                 )
+            )
     _emit(lines, args.out)
     return 0
 

@@ -26,6 +26,12 @@ class CapacityError(ValueError):
     """Requested dense object exceeds the desk-scale capacity cap."""
 
 
+def _require_capacity(total: int):
+    """Refuse a dense operator of dimension total before anything is allocated."""
+    if total > MAX_DENSE_DIM:
+        raise CapacityError(f"dense operator of dimension {total} exceeds {MAX_DENSE_DIM}")
+
+
 def _require_psd(matrix: np.ndarray):
     if matrix.shape[0] <= _EIG_CHECK_DIM:
         smallest = np.linalg.eigvalsh(matrix)[0]
@@ -56,8 +62,9 @@ class DensityOperator:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        mat = np.array(self.matrix, dtype=complex)  # private copy, frozen below
         total = int(np.prod(dims))
+        _require_capacity(total)
+        mat = np.array(self.matrix, dtype=complex)  # private copy, frozen below
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         if np.abs(mat - mat.conj().T).max() > ATOL_INVARIANT:
@@ -96,6 +103,7 @@ class PureStateVector:
         object.__setattr__(self, "vector", vec)
 
     def density(self) -> DensityOperator:
+        _require_capacity(self.vector.shape[0])
         return DensityOperator(self.dims, np.outer(self.vector, self.vector.conj()))
 
 
@@ -151,6 +159,7 @@ def ghz_basis(n: int, j: int, sign: int) -> PureStateVector:
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product; the factors of b follow the factors of a."""
+    _require_capacity(a.total_dim * b.total_dim)
     return DensityOperator(a.dims + b.dims, np.kron(a.matrix, b.matrix))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import spiders as spiders_mod
-from .channels import apply_noisy_teleport, path_teleport_visibility
+from .channels import _saturating_pow2, apply_noisy_teleport, path_teleport_visibility
 from .graphs import (
     Graph,
     degree_stats,
@@ -24,7 +24,7 @@ from .graphs import (
     is_connected,
     shortest_path,
 )
-from .hilbert import PureStateVector, fidelity, ghz
+from .hilbert import PureStateVector, _require_capacity, fidelity
 
 RECURRENCE_MODEL_NOTE = "recurrence model, deterministic best case"
 
@@ -37,13 +37,14 @@ def visibility_threshold(c: float, d: int) -> float:
     """Visibility bound (d+1)^(-1/2^(5/c-1)) above which chunks stay distillable.
 
     For p above the returned value, a pair teleported over a leg of length
-    at most 5/c keeps visibility above 1/(d+1).
+    at most 5/c keeps visibility above 1/(d+1).  Once 2^(5/c-1) leaves the
+    float range the threshold is exactly 1.
     """
     if not 0.0 < c <= 1.0:
         raise ValueError(f"degree ratio {c} outside (0, 1]")
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    return float(d + 1) ** (-1.0 / 2.0 ** (5.0 / c - 1.0))
+    return float(d + 1) ** (-1.0 / _saturating_pow2(5.0 / c - 1.0))
 
 
 def downgrade_visibility(p: float, actual_length: int, uniform_length: float) -> float:
@@ -60,7 +61,7 @@ def downgrade_visibility(p: float, actual_length: int, uniform_length: float) ->
         )
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"visibility {p} outside [0, 1]")
-    return float(p) ** (2.0 ** (uniform_length - 1.0))
+    return float(p) ** _saturating_pow2(uniform_length - 1.0)
 
 
 def fidelity_from_visibility(p: float) -> float:
@@ -171,15 +172,35 @@ def default_center(g: Graph, subset: frozenset) -> int:
 def _plan(g: Graph, subset: frozenset, center: int, lam: int, d: int) -> ProtocolPlan:
     dmin = degree_stats(g).minimum
     c = Fraction(dmin, g.vertex_count)
-    budget = int(min(Fraction(dmin), c * lam) / (5 * len(subset)))
+    budget = spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(subset))
     return ProtocolPlan(
         ratio_c=c,
         p0=visibility_threshold(float(c), d),
-        spider_budget=budget,
-        leg_length_bound=Fraction(5, 1) / c,
+        spider_budget=budget.count,
+        leg_length_bound=budget.leg_length_bound,
         center=center,
         subset=subset,
     )
+
+
+def ghz_teleport_fidelity(visibilities: Iterable[float]) -> float:
+    """Fidelity with GHZ of the m-party GHZ state after its non-center shares
+    went through noisy teleportation channels of the given visibilities.
+
+    F = (1/2) prod p_i + (1/2) prod (1+p_i)/2 over the non-center parties: the
+    GHZ coherence survives with weight prod p_i, the |0...0> population with
+    weight prod (1+p_i)/2, and the |1...1> population term prod (1-p_i)/2 is
+    killed by the center's identity channel.  Products are accumulated in the
+    order given.
+    """
+    coherence = 1.0
+    population = 1.0
+    for p in visibilities:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"visibility {p} outside [0, 1]")
+        coherence *= p
+        population *= (1.0 + p) / 2.0
+    return 0.5 * coherence + 0.5 * population
 
 
 def simulate_partial_distillation(
@@ -201,11 +222,7 @@ def simulate_partial_distillation(
     covers qubit links: for local_dim > 2 the pipeline stops after the leg
     teleportation stage and reports chunk visibilities without a fidelity.
     """
-    verts = frozenset(int(v) for v in subset)
-    if len(verts) < 2:
-        raise ValueError("the target subset needs at least two vertices")
-    for v in verts:
-        g._check_vertex(v)
+    verts = spiders_mod._check_subset(g, (int(v) for v in subset))
     if not is_connected(g):
         raise ValueError("graph must be connected")
     if not 0.0 <= p <= 1.0:
@@ -217,12 +234,12 @@ def simulate_partial_distillation(
 
     m = len(verts)
     distill_stage = local_dim == 2
-    if target_state is None and distill_stage:
-        target_state = ghz(m)
-    if distill_stage and target_state.dims != (2,) * m:
-        raise ValueError(
-            f"target state dims {target_state.dims} do not match {m} qubit parties"
-        )
+    if target_state is not None and distill_stage:
+        if target_state.dims != (2,) * m:
+            raise ValueError(
+                f"target state dims {target_state.dims} do not match {m} qubit parties"
+            )
+        _require_capacity(2**m)  # the custom target goes through the dense route
 
     lam = edge_connectivity(g)
     plan = _plan(g, verts, center, lam, d=local_dim)
@@ -270,9 +287,12 @@ def simulate_partial_distillation(
         )
 
     # final stage: teleport the locally prepared state through the
-    # distilled pairs (identity on the center's factor)
+    # distilled pairs (identity on the center's factor); the GHZ target has
+    # a closed form, a custom target is composed densely
     if not distill_stage:
         final_fidelity = None
+    elif target_state is None:
+        final_fidelity = ghz_teleport_fidelity(t.distilled for t in targets)
     elif all(t.distilled == 1.0 for t in targets):
         final_fidelity = 1.0  # every channel is the identity map
     else:

@@ -81,10 +81,13 @@ def spider_guarantee(g: Graph, subset: Iterable) -> SpiderGuarantee:
     dmin = degree_stats(g).minimum
     if dmin <= 1:
         raise ValueError("premise violated: minimum degree must exceed 1")
-    c = Fraction(dmin, g.vertex_count)
-    lam = edge_connectivity(g)
-    count = int(min(Fraction(dmin), c * lam) / (5 * len(verts)))
-    return SpiderGuarantee(count, Fraction(5, 1) / c)
+    return _spider_budget(dmin, g.vertex_count, edge_connectivity(g), len(verts))
+
+
+def _spider_budget(dmin: int, vertex_count: int, lam: int, m: int) -> SpiderGuarantee:
+    """The guarantee's count and leg bound, with c = dmin/vertex_count."""
+    c = Fraction(dmin, vertex_count)
+    return SpiderGuarantee(int(min(Fraction(dmin), c * lam) / (5 * m)), Fraction(5, 1) / c)
 
 
 def extract_spiders(

@@ -38,7 +38,14 @@ from .graphs import (
     max_edge_disjoint_paths,
     star_graph,
 )
-from .hilbert import ghz, ghz_basis, isotropic, max_entangled, partial_transpose
+from .hilbert import (
+    fidelity,
+    ghz,
+    ghz_basis,
+    isotropic,
+    max_entangled,
+    partial_transpose,
+)
 from .spectra import (
     SpectrumIndex,
     is_ppt_teleported_ghz,
@@ -423,6 +430,42 @@ def check_protocol_trend(seed, tol_scale, fault) -> CheckResult:
     )
 
 
+def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
+    tol = 1e-12 * tol_scale
+    grid = (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0)
+    rng = random.Random(seed + 2)
+    for m in range(2, 9):
+        target = ghz(m)
+        for center in range(m):
+            # the grid cycled by the center, one random draw, and uniform
+            # visibilities up to m = 6 (a dense trial takes ~0.1 s at m = 8)
+            trials = [
+                tuple(grid[(center + i) % len(grid)] for i in range(m - 1)),
+                tuple(rng.random() for _ in range(m - 1)),
+            ]
+            if m <= 6:
+                trials += [(p,) * (m - 1) for p in grid]
+            for visibilities in trials:
+                closed = protocol_mod.ghz_teleport_fidelity(visibilities) + fault
+                state = target.density()
+                others = (q for q in range(m) if q != center)
+                for position, p in zip(others, visibilities):
+                    state = apply_noisy_teleport(state, p, position)
+                dense = fidelity(target, state)
+                if abs(closed - dense) > tol:
+                    return CheckResult(
+                        "protocol-fidelity-closed-form",
+                        False,
+                        f"m={m} center={center} p={visibilities}: "
+                        f"closed {closed!r} vs dense {dense!r}",
+                    )
+    return CheckResult(
+        "protocol-fidelity-closed-form",
+        True,
+        "m in 2..8, every center, grid and random visibilities, <= 1e-12",
+    )
+
+
 def check_diameter_bound(seed, tol_scale, fault) -> CheckResult:
     rng = random.Random(seed + 1)
     graphs = [complete_graph(n) for n in range(3, 13)]
@@ -457,6 +500,7 @@ CHECKS = {
     "threshold-and-recurrence": ("protocol", check_threshold_and_recurrence),
     "protocol-trend": ("protocol", check_protocol_trend),
     "diameter-bound": ("graphs", check_diameter_bound),
+    "protocol-fidelity-closed-form": ("protocol", check_protocol_fidelity_closed_form),
 }
 
 

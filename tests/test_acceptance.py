@@ -74,3 +74,7 @@ def test_c11_end_to_end_fidelity_trend():
 
 def test_c12_diameter_bound_on_generated_graphs():
     _run("diameter-bound", "12")
+
+
+def test_c13_protocol_fidelity_closed_form_matches_dense():
+    _run("protocol-fidelity-closed-form", "13")

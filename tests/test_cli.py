@@ -124,6 +124,49 @@ def test_protocol_sweep_is_monotone_and_deterministic(tmp_path, capsys):
     assert rows[0][0] == "complete-18"
 
 
+def _fields(out: str, key: str) -> list[str]:
+    return [line.split(" = ", 1)[1] for line in out.splitlines() if line.startswith(key + " = ")]
+
+
+def test_protocol_beyond_twelve_parties(capsys):
+    for m in (14, 20):
+        subset = ",".join(str(v) for v in range(m))
+        code, out, err = run_cli(
+            capsys,
+            "protocol", "--family", "complete", "--n", "40", "--subset", subset, "--p", "0.99",
+        )
+        assert code == 0, err
+        distilled = [float(v) for v in _fields(out, "distilled_visibility")]
+        assert len(distilled) == m - 1
+        coherence = population = 1.0
+        for p in distilled:
+            coherence *= p
+            population *= (1.0 + p) / 2.0
+        (printed,) = _fields(out, "fidelity")
+        assert abs(float(printed) - (0.5 * coherence + 0.5 * population)) <= 1e-9
+
+
+def test_protocol_sparse_cycle_saturates_threshold(capsys):
+    base = [
+        "protocol", "--family", "cycle", "--n", "420", "--subset", "0,100", "--p", "0.99",
+    ]
+    for extra in ([], ["--uniform-legs"]):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 0, err
+        assert err == ""
+        assert _fields(out, "p0") == ["1"]
+        assert _fields(out, "leg_visibilities") == ["0,0"]
+        assert _fields(out, "fidelity") == ["0.25"]  # 1/2 * 0 + 1/2 * (1 + 0)/2
+
+
+def test_spider_default_center_is_max_degree(capsys):
+    code, out, _ = run_cli(
+        capsys, "spider", "--family", "star", "--n", "6", "--subset", "4,2,0"
+    )
+    assert code == 0
+    assert "center = 0" in out.splitlines()
+
+
 def test_protocol_subset_validation(capsys):
     code, _, err = run_cli(
         capsys,

@@ -4,6 +4,8 @@ import pytest
 from helpers import random_density_operator, random_pure_state, random_unitary
 from isonet import (
     ATOL_PSD,
+    MAX_DENSE_DIM,
+    CapacityError,
     DensityOperator,
     PureStateVector,
     fidelity,
@@ -160,3 +162,23 @@ def test_fidelity_pure_shortcuts_agree_with_general_form():
     assert abs(direct - general) < 1e-10
     other = random_pure_state((2, 2), RNG)
     assert abs(fidelity(psi, other) - abs(np.vdot(psi.vector, other.vector)) ** 2) < 1e-12
+
+
+def test_dense_cap_enforced_before_allocation(monkeypatch):
+    big = ghz(13)  # the 8192-entry vector is fine, its density matrix is not
+    six, seven = ghz(6).density(), ghz(7).density()
+    assert six.total_dim * seven.total_dim > MAX_DENSE_DIM
+    dummy = np.eye(2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense allocation attempted above the cap")
+
+    monkeypatch.setattr(np, "outer", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np, "array", refuse)
+    with pytest.raises(CapacityError):
+        big.density()
+    with pytest.raises(CapacityError):
+        tensor(six, seven)
+    with pytest.raises(CapacityError):
+        DensityOperator((2,) * 13, dummy)

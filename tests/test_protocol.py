@@ -2,6 +2,8 @@ import pytest
 
 from isonet import (
     BelowThresholdError,
+    CapacityError,
+    DensityOperator,
     complete_graph,
     connectivity_growth_scan,
     cycle_graph,
@@ -10,6 +12,7 @@ from isonet import (
     downgrade_visibility,
     fidelity_from_visibility,
     ghz,
+    ghz_teleport_fidelity,
     grid_graph,
     path_teleport_visibility,
     random_tree,
@@ -33,6 +36,18 @@ def test_visibility_threshold_values():
         visibility_threshold(0.0, 2)
     with pytest.raises(ValueError):
         visibility_threshold(0.5, 1)
+
+
+def test_doubling_exponents_saturate_instead_of_overflowing():
+    # 2^(5/c - 1) leaves the float range on sparse graphs such as long cycles
+    assert visibility_threshold(2 / 420, 2) == 1.0
+    assert path_teleport_visibility(0.99, 2000) == 0.0
+    assert path_teleport_visibility(1.0, 2000) == 1.0
+    assert downgrade_visibility(0.99, 3, 1100.0) == 0.0
+    assert downgrade_visibility(1.0, 3, 1100.0) == 1.0
+    # in range the expression is the plain power
+    assert path_teleport_visibility(0.9, 3) == 0.9**4.0
+    assert downgrade_visibility(0.9, 2, 3.5) == 0.9 ** (2.0**2.5)
 
 
 def test_downgrade_visibility():
@@ -184,6 +199,44 @@ def test_simulation_input_validation():
     with pytest.raises(ValueError):
         simulate_partial_distillation(
             complete_graph(5), (0, 1), 0.9, target_state=ghz(3)
+        )
+
+
+def test_ghz_teleport_fidelity_values():
+    assert ghz_teleport_fidelity([1.0, 1.0, 1.0]) == 1.0
+    assert ghz_teleport_fidelity([0.0]) == 0.25
+    assert ghz_teleport_fidelity([0.0, 0.0]) == 0.125
+    assert ghz_teleport_fidelity([0.6, 0.8]) == pytest.approx(0.5 * 0.48 + 0.5 * 0.8 * 0.9)
+    with pytest.raises(ValueError):
+        ghz_teleport_fidelity([0.5, 1.2])
+
+
+def test_simulation_default_target_builds_no_dense_state(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense state built on the default GHZ target")
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", refuse)
+    report = simulate_partial_distillation(complete_graph(40), range(14), 0.99)
+    assert len(report.targets) == 13
+    expected = ghz_teleport_fidelity(t.distilled for t in report.targets)
+    assert report.final_fidelity == expected
+
+
+def test_simulation_custom_ghz_target_matches_closed_form():
+    g = complete_graph(24)
+    for p in (0.6, 0.95, 1.0):
+        for center in (0, 2):
+            closed = simulate_partial_distillation(g, (0, 1, 2, 3), p, center=center)
+            dense = simulate_partial_distillation(
+                g, (0, 1, 2, 3), p, center=center, target_state=ghz(4)
+            )
+            assert abs(closed.final_fidelity - dense.final_fidelity) <= 1e-12
+
+
+def test_simulation_custom_target_above_cap_raises():
+    with pytest.raises(CapacityError):
+        simulate_partial_distillation(
+            complete_graph(20), range(13), 0.99, target_state=ghz(13)
         )
 
 
