@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, verification
 from .graphs import (
@@ -191,8 +190,7 @@ def cmd_ppt_scan(args) -> int:
     points = [(n, p) for p in p_values for n in n_values]
     lines = _header(args)
     lines.append("n,p,w,min_eigenvalue,is_ppt,n0_flag")
-    with ThreadPoolExecutor() as pool:
-        lines.extend(pool.map(row, points))
+    lines.extend(map(row, points))
     _emit(lines, args.out)
     return 0
 

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 INFINITE = math.inf  # sentinel for distances/diameter of disconnected graphs
 
@@ -187,15 +187,6 @@ def remove_path_edges(g: Graph, p: PathInGraph) -> Graph:
         if e not in g.edges:
             raise ValueError(f"path edge {e} absent from graph")
     return Graph(g.vertex_count, g.edges - set(path_edges))
-
-
-def remove_edges(g: Graph, edges: Iterable) -> Graph:
-    """Delete the given edges (each must be present)."""
-    drop = {canonical_edge(u, v) for u, v in edges}
-    missing = drop - g.edges
-    if missing:
-        raise ValueError(f"edge {sorted(missing)[0]} absent from graph")
-    return Graph(g.vertex_count, g.edges - drop)
 
 
 # ---------------------------------------------------------------------------

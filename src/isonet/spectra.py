@@ -75,15 +75,12 @@ def noise_overlap_closed(n: int, p: float, j: int) -> float:
 
     This is the expectation, on the j-th GHZ-type basis vector, of the sum of
     all partially depolarized components of the teleported GHZ state; it
-    depends on j only through its Hamming weight.
+    depends on j only through its Hamming weight w: the mixed term at w, less
+    the fully depolarized component and, for j = 0, the noiseless GHZ weight.
     """
     _check_overlap_args(n, p, j)
-    w = j.bit_count()
-    half = 0.5
-    if j == 0:
-        return half * (-(p**n) + ((1 + p) / 2) ** n - ((1 - p) / 2) ** n)
-    mixed = ((1 + p) ** (n - w) * (1 - p) ** w + (1 - p) ** (n - w) * (1 + p) ** w) / 2 ** (n + 1)
-    return mixed - ((1 - p) / 2) ** n
+    noiseless = p**n / 2 if j == 0 else 0.0
+    return _mixed_term(n, p, j.bit_count()) - ((1 - p) / 2) ** n - noiseless
 
 
 def noise_overlap_direct(n: int, p: float, j: int) -> float:
@@ -139,38 +136,32 @@ def partial_transpose_eigenvalue(idx: SpectrumIndex, p: float) -> float:
 
 
 def min_eigenvalue_teleported_ghz(n: int, p: float, parties: Iterable[int]) -> float:
-    """Smallest eigenvalue across the whole spectrum, by Hamming-weight class."""
+    """Smallest eigenvalue across the whole spectrum, in constant time.
+
+    In w the mixed term is a sum of two exponentials, a^(n-w) b^w and
+    b^(n-w) a^w with a = 1+p and b = 1-p, so it is convex; it is also
+    symmetric under w -> n-w, so over the weights 0..n-1 its minimum sits at
+    n // 2.  Every eigenvalue other than (r, -) is a mixed term, plus p^n/2
+    for (r, +), hence at or above that minimum; only (r, -) =
+    mixed(w_r) - p^n/2 can fall below it.  Whether any j other than r has
+    weight n // 2 never matters: if none does, then w_r = n // 2 and
+    mixed(w_r) - p^n/2 <= mixed(n // 2) already.
+    """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"visibility {p} outside (0, 1]")
-    subset = normalize_bipartition(n, parties)
-    w_r = len(subset)
-    shift = p**n / 2.0
-    smallest = math.inf
-    for w in range(n):
-        count = math.comb(n - 1, w)
-        base = _mixed_term(n, p, w)
-        if w == w_r:
-            smallest = min(smallest, base - shift, base + shift)
-            count -= 1  # r itself accounted for above
-        if count > 0:
-            smallest = min(smallest, base)
-    return smallest
+    w_r = len(normalize_bipartition(n, parties))
+    return min(_mixed_term(n, p, w_r) - p**n / 2, _mixed_term(n, p, n // 2))
 
 
-def is_ppt_teleported_ghz(
-    n: int, p: float, parties: Iterable[int], full_scan: bool = False
-) -> bool:
+def is_ppt_teleported_ghz(n: int, p: float, parties: Iterable[int]) -> bool:
     """PPT test for the teleported GHZ state across the given bipartition.
 
-    Fast path: only the (r, -) eigenvalue can be negative, and its sign is
-    decided by a two-term log-space comparison.  The full scan evaluates the
-    entire spectrum instead (debug cross-check).
+    Only the (r, -) eigenvalue can be negative, and its sign is decided by a
+    two-term log-space comparison.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"visibility {p} outside (0, 1]")
     subset = normalize_bipartition(n, parties)
-    if full_scan:
-        return min_eigenvalue_teleported_ghz(n, p, subset) >= 0.0
     return _critical_sign_nonnegative(n, p, len(subset))
 
 

@@ -9,6 +9,7 @@ checks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -48,12 +49,15 @@ from .hilbert import (
 )
 from .spectra import (
     SpectrumIndex,
+    _mixed_term,
     is_ppt_teleported_ghz,
+    min_eigenvalue_teleported_ghz,
     noise_overlap_closed,
     noise_overlap_direct,
     normalize_bipartition,
     partial_transpose_eigenvalue,
     ppt_crossover,
+    teleported_ghz_spectrum,
 )
 
 DEFAULT_SEED = 20260810
@@ -95,6 +99,36 @@ def _visibility_of(rho) -> float:
 
 def _spread_subset(n_vertices: int, m: int) -> tuple[int, ...]:
     return tuple(sorted({round(i * (n_vertices - 1) / (m - 1)) for i in range(m)}))
+
+
+def _class_scan_min_eigenvalues(n: int, p: float, cut_sizes) -> dict[int, float]:
+    """Smallest eigenvalue for each cut size w_r, class by class.
+
+    Walks every Hamming-weight class of the basis integers j < 2^(n-1),
+    counts its members and takes a class's mixed term only when some j other
+    than r lies in it; the (r, +-) pair is taken at w_r.
+    """
+    shift = p**n / 2.0
+    classes, count = [], 1  # count runs along the binomial row C(n-1, w)
+    for w in range(n):
+        classes.append((w, count, _mixed_term(n, p, w)))
+        count = count * (n - 1 - w) // (w + 1)
+    minima = {}
+    for w_r in cut_sizes:
+        smallest = math.inf
+        for w, count, base in classes:
+            if w == w_r:
+                smallest = min(smallest, base - shift, base + shift)
+                count -= 1  # r itself accounted for above
+            if count > 0:
+                smallest = min(smallest, base)
+        minima[w_r] = smallest
+    return minima
+
+
+def _relative_gap(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +259,60 @@ def check_ppt_crossover(seed, tol_scale, fault) -> CheckResult:
                 return CheckResult(
                     "ppt-crossover", False, f"p={p} w={w}: not PPT at n0={n0}"
                 )
-            if not is_ppt_teleported_ghz(n0, p, cut, full_scan=True):
+            if _class_scan_min_eigenvalues(n0, p, [w])[w] < 0.0:
                 return CheckResult(
-                    "ppt-crossover", False, f"p={p} w={w}: full scan disagrees at n0={n0}"
+                    "ppt-crossover", False, f"p={p} w={w}: class scan negative at n0={n0}"
                 )
             if n0 - 1 >= w + 1 and is_ppt_teleported_ghz(n0 - 1, p, cut):
                 return CheckResult(
                     "ppt-crossover", False, f"p={p} w={w}: PPT already at n0-1={n0 - 1}"
                 )
     return CheckResult("ppt-crossover", True, "anchor 55 and exact boundaries")
+
+
+def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> CheckResult:
+    tol = 1e-12 * tol_scale
+    rng = random.Random(seed + 3)
+    grid = (0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)
+    # the full eigenvalue table for n <= 10 and every cut size: the whole grid
+    # and a random draw up to n = 7, then one p per cut size (grid value and
+    # random draw alternating; a table at n = 10 holds 2048 eigenvalues)
+    for n in range(2, 11):
+        for w in range(1, n):
+            if n <= 7:
+                p_values = [*grid, rng.uniform(1e-3, 1.0)]
+            elif w % 2:
+                p_values = [grid[(n + w) % len(grid)]]
+            else:
+                p_values = [rng.uniform(1e-3, 1.0)]
+            for p in p_values:
+                cut = tuple(range(w))
+                closed = min_eigenvalue_teleported_ghz(n, p, cut) + fault
+                table = teleported_ghz_spectrum(n, p, cut).min_eigenvalue()
+                if _relative_gap(closed, table) > tol:
+                    return CheckResult(
+                        "min-eigenvalue-closed-form",
+                        False,
+                        f"n={n} w={w} p={p!r}: closed {closed!r} vs table {table!r}",
+                    )
+    # the class scan up to ~900 qubits, where the spectrum underflows
+    for n in (11, 128, 501, 893):
+        for p in (1e-9, 0.3, 0.5, 0.9, 0.9999, 1.0):
+            scan = _class_scan_min_eigenvalues(n, p, {1, 2, 3, 4, n // 2, n - 1})
+            for w, expected in sorted(scan.items()):
+                closed = min_eigenvalue_teleported_ghz(n, p, range(w)) + fault
+                if _relative_gap(closed, expected) > tol:
+                    return CheckResult(
+                        "min-eigenvalue-closed-form",
+                        False,
+                        f"n={n} w={w} p={p!r}: closed {closed!r} vs class scan {expected!r}",
+                    )
+    return CheckResult(
+        "min-eigenvalue-closed-form",
+        True,
+        "table for n <= 10 (every cut size), class scan up to n = 893, "
+        "relative <= 1e-12",
+    )
 
 
 def check_menger_duality(seed, tol_scale, fault) -> CheckResult:
@@ -501,6 +580,7 @@ CHECKS = {
     "protocol-trend": ("protocol", check_protocol_trend),
     "diameter-bound": ("graphs", check_diameter_bound),
     "protocol-fidelity-closed-form": ("protocol", check_protocol_fidelity_closed_form),
+    "min-eigenvalue-closed-form": ("spectra", check_min_eigenvalue_closed_form),
 }
 
 

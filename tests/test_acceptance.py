@@ -78,3 +78,7 @@ def test_c12_diameter_bound_on_generated_graphs():
 
 def test_c13_protocol_fidelity_closed_form_matches_dense():
     _run("protocol-fidelity-closed-form", "13")
+
+
+def test_c14_min_eigenvalue_closed_form_matches_spectrum():
+    _run("min-eigenvalue-closed-form", "14")

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isonet import (
     SpectrumIndex,
@@ -22,6 +24,13 @@ from isonet import (
     teleported_ghz_spectrum,
 )
 from isonet.spectra import spectrum_trace_by_weight
+from isonet.verification import _class_scan_min_eigenvalues
+
+# visibilities in (0, 1], with the perfect and the near-perfect links pinned
+_visibilities = st.one_of(
+    st.sampled_from([1.0, 0.9999, 1e-9]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
 
 
 def test_normalize_bipartition():
@@ -159,8 +168,26 @@ def test_is_ppt_fast_path_matches_dense():
                 cut = tuple(range(w))
                 dense = is_ppt(state, cut)
                 fast = is_ppt_teleported_ghz(n, p, cut)
-                scan = is_ppt_teleported_ghz(n, p, cut, full_scan=True)
-                assert dense == fast == scan, (n, p, w)
+                closed = min_eigenvalue_teleported_ghz(n, p, cut) >= 0.0
+                assert dense == fast == closed, (n, p, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), p=_visibilities, data=st.data())
+def test_min_eigenvalue_equals_full_table_minimum(n, p, data):
+    cut = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    table = teleported_ghz_spectrum(n, p, cut).min_eigenvalue()
+    closed = min_eigenvalue_teleported_ghz(n, p, cut)
+    assert math.isclose(closed, table, rel_tol=1e-12, abs_tol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 900), p=_visibilities, data=st.data())
+def test_min_eigenvalue_equals_class_scan(n, p, data):
+    w = data.draw(st.integers(1, n - 1))
+    scan = _class_scan_min_eigenvalues(n, p, [w])[w]
+    closed = min_eigenvalue_teleported_ghz(n, p, range(w))
+    assert math.isclose(closed, scan, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_perfect_ghz_is_npt_everywhere():
