@@ -195,27 +195,29 @@ def remove_path_edges(g: Graph, p: PathInGraph) -> Graph:
 
 
 class _UnitFlow:
-    """Dinic max-flow on an undirected graph with unit edge capacities."""
+    """Dinic max-flow on an undirected graph with unit edge capacities.
+
+    The arc arrays are built once per graph; every max_flow call resets the
+    capacities in place, so one network serves any number of (s, t) pairs.
+    """
 
     def __init__(self, g: Graph):
         self.n = g.vertex_count
         self.head = [[] for _ in range(self.n)]  # arc indices per vertex
         self.to = []
-        self.cap = []
+        # an undirected unit edge becomes two antiparallel unit arcs 2i and
+        # 2i+1, each acting as the residual arc of the other
         for u, v in sorted(g.edges):
-            self._add_pair(u, v)
-
-    def _add_pair(self, u: int, v: int):
-        # an undirected unit edge becomes two antiparallel unit arcs,
-        # each acting as the residual arc of the other
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(1)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(1)
+            self.head[u].append(len(self.to))
+            self.to.append(v)
+            self.head[v].append(len(self.to))
+            self.to.append(u)
+        self.cap = [1] * len(self.to)
 
     def max_flow(self, s: int, t: int, cutoff: float = INFINITE) -> int:
+        """Flow value from s to t, stopping once it reaches cutoff."""
+        cap = self.cap
+        cap[:] = (1,) * len(cap)
         flow = 0
         while flow < cutoff:
             level = self._levels(s, t)
@@ -230,32 +232,63 @@ class _UnitFlow:
         return flow
 
     def _levels(self, s: int, t: int) -> list:
+        """BFS distances from s in the residual graph, up to t's.
+
+        The search stops when t is reached.  Every vertex still at -1 then
+        lies at t's distance or beyond, so no shortest s-t path uses it, and
+        the paths _augment finds are those of the full level graph.
+        """
+        head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for a in self.head[u]:
-                w = self.to[a]
-                if self.cap[a] > 0 and level[w] < 0:
-                    level[w] = level[u] + 1
+            nxt = level[u] + 1
+            for a in head[u]:
+                w = to[a]
+                if cap[a] > 0 and level[w] < 0:
+                    level[w] = nxt
+                    if w == t:
+                        return level
                     queue.append(w)
         return level
 
-    def _augment(self, u: int, t: int, level: list, it: list) -> int:
-        if u == t:
-            return 1
-        while it[u] < len(self.head[u]):
-            a = self.head[u][it[u]]
-            w = self.to[a]
-            if self.cap[a] > 0 and level[w] == level[u] + 1:
-                if self._augment(w, t, level, it):
-                    self.cap[a] -= 1
-                    self.cap[a ^ 1] += 1
-                    return 1
+    def _augment(self, s: int, t: int, level: list, it: list) -> int:
+        """Push one unit along the first s-t path of the level graph.
+
+        A depth-first search with an explicit stack of arcs, so its depth is
+        bounded by the heap rather than the recursion limit.  Arcs are tried
+        in head order from it[u]; a dead end gets level -1 and its parent
+        moves on to its next arc, as in the textbook recursive form.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        path = []  # arcs from s to u
+        u = s
+        while u != t:
+            arcs = head[u]
+            end = len(arcs)
+            i = it[u]
+            nxt = level[u] + 1
+            while i < end:
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == nxt:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(a)
+                u = to[a]
+                continue
+            level[u] = -1  # no route to t from u in this phase
+            if not path:
+                return 0
+            u = to[path.pop() ^ 1]
             it[u] += 1
-        level[u] = -1
-        return 0
+        for a in path:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+        return 1
 
 
 def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> int:
@@ -267,17 +300,49 @@ def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> int:
     return _UnitFlow(g).max_flow(u, v)
 
 
-def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut, via repeated max flow from vertex 0.
+def _greedy_dominating_set(g: Graph) -> list[int]:
+    """Dominating set picked greedily in vertex-id order, starting with 0."""
+    dominated = [False] * g.vertex_count
+    chosen = []
+    for v in range(g.vertex_count):
+        if not dominated[v]:
+            chosen.append(v)
+            dominated[v] = True
+            for w in g.neighbors(v):
+                dominated[w] = True
+    return chosen
 
-    Every minimal cut separates vertex 0 from some other vertex, so the
-    minimum over targets of the unit-capacity max flow is exact.
+
+def edge_connectivity(g: Graph) -> int:
+    """Global minimum edge cut, via max flows from vertex 0 to a dominating set.
+
+    Esfahanian & Hakimi (1984): start from L = delta_min, an upper bound,
+    and take max flows from vertex 0 to every other vertex of a dominating
+    set D containing 0, each with cutoff L, lowering L as they come in.
+
+    Exactness.  Every flow is at least lambda, and lambda <= delta_min.
+    Suppose lambda < delta_min and let (S, T) be a minimum cut.  A side S
+    with |S| <= delta_min would send at least |S| (delta_min - |S| + 1) >=
+    delta_min edges across, since each of its vertices has at most |S| - 1
+    neighbours inside.  So |S| > lambda, while at most lambda vertices of S
+    touch the cut: some vertex of S has no neighbour across it.  D dominates
+    that vertex, so D meets S, and likewise T.  Hence some w in D lies on the
+    other side from 0, and the 0-w flow is lambda.  When D = {0}, vertex 0
+    is adjacent to every other vertex, so lambda = delta_min.
+
+    One flow network is built per graph and its capacities are reset per
+    target; augmentation is iterative, so no input reaches the recursion
+    limit.
     """
     if g.vertex_count < 2:
         raise ValueError("edge connectivity needs at least two vertices")
-    best = g.vertex_count * g.vertex_count  # above any possible cut
-    for v in range(1, g.vertex_count):
-        best = min(best, _UnitFlow(g).max_flow(0, v, cutoff=best))
+    best = degree_stats(g).minimum
+    targets = _greedy_dominating_set(g)[1:]
+    if best == 0 or not targets:
+        return best
+    flow = _UnitFlow(g)
+    for w in targets:
+        best = min(best, flow.max_flow(0, w, cutoff=best))
         if best == 0:
             break
     return best

@@ -28,6 +28,7 @@ from .channels import (
 from .graphs import (
     Graph,
     GridGraphSpec,
+    _UnitFlow,
     complete_graph,
     cycle_graph,
     degree_stats,
@@ -37,6 +38,8 @@ from .graphs import (
     grid_graph,
     is_connected,
     max_edge_disjoint_paths,
+    path_graph,
+    random_tree,
     star_graph,
 )
 from .hilbert import (
@@ -129,6 +132,36 @@ def _class_scan_min_eigenvalues(n: int, p: float, cut_sizes) -> dict[int, float]
 def _relative_gap(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale else 0.0
+
+
+def _all_targets_edge_connectivity(g: Graph) -> int:
+    """Minimum over every target v != 0 of the max flow from vertex 0 to v.
+
+    Every cut separates vertex 0 from some other vertex, so this is exact
+    without any reduction; each target gets a network of its own.
+    """
+    best = g.vertex_count * g.vertex_count  # above any possible cut
+    for v in range(1, g.vertex_count):
+        best = min(best, _UnitFlow(g).max_flow(0, v, cutoff=best))
+        if best == 0:
+            break
+    return best
+
+
+def random_graph(rng: random.Random, n: int, density: float) -> Graph:
+    """Erdos-Renyi graph on n vertices; may be disconnected."""
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+def planted_cut_graph(rng: random.Random, a: int, b: int, k: int) -> Graph:
+    """Cliques on a and b vertices joined by k distinct cross edges, with the
+    vertex ids shuffled; for k < min(a, b) - 1 the k edges are the only
+    minimum cut, below the minimum degree."""
+    cross = rng.sample([(u, v) for u in range(a) for v in range(a, a + b)], k)
+    edges = [*combinations(range(a), 2), *combinations(range(a, a + b), 2), *cross]
+    relabel = list(range(a + b))
+    rng.shuffle(relabel)
+    return Graph(a + b, [(relabel[u], relabel[v]) for u, v in edges])
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +367,43 @@ def check_menger_duality(seed, tol_scale, fault) -> CheckResult:
                 f"pairwise minimum {pairwise} on {sorted(g.edges)}",
             )
     return CheckResult("menger-duality", True, "200 random connected graphs, exact")
+
+
+def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
+    rng = random.Random(seed + 4)
+    graphs = [(f"complete-{n}", complete_graph(n)) for n in (2, 3, 4, 7, 16, 33, 60)]
+    graphs += [("grid-4-3", grid_graph(4, 3)), ("grid-3-4", grid_graph(3, 4))]
+    graphs += [(f"cycle-{n}", cycle_graph(n)) for n in (3, 4, 9, 40)]
+    graphs += [(f"star-{n}", star_graph(n)) for n in (2, 5, 30)]
+    graphs += [(f"path-{n}", path_graph(n)) for n in (2, 3, 25)]
+    graphs += [(f"tree-{n}", random_tree(n, seed=seed + n)) for n in (3, 12, 50)]
+    for trial in range(30):
+        n = rng.randint(20, 60)
+        graphs.append((f"random-{trial}", random_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))))
+    for trial in range(10):  # disconnected: two parts, sometimes an isolated vertex
+        a, b = rng.randint(1, 12), rng.randint(2, 12)
+        left, right = random_graph(rng, a, 0.7), random_graph(rng, b, 0.7)
+        edges = [*left.edges, *((u + a, v + a) for u, v in right.edges)]
+        graphs.append((f"disconnected-{trial}", Graph(a + b, edges)))
+    for trial in range(20):
+        a, b = rng.randint(4, 30), rng.randint(4, 30)
+        k = rng.randint(1, min(a, b) - 2)
+        graphs.append((f"planted-{a}-{b}-{k}", planted_cut_graph(rng, a, b, k)))
+    for graph_id, g in graphs:
+        fast = edge_connectivity(g) + fault
+        twin = _all_targets_edge_connectivity(g)
+        if fast != twin:
+            return CheckResult(
+                "edge-connectivity-reduction",
+                False,
+                f"{graph_id}: dominating-set flows {fast}, all-targets flows {twin} "
+                f"on {sorted(g.edges)}",
+            )
+    return CheckResult(
+        "edge-connectivity-reduction",
+        True,
+        f"{len(graphs)} graphs: families, random, disconnected, planted cuts; exact",
+    )
 
 
 _GUARANTEE_GRAPHS = [
@@ -581,6 +651,7 @@ CHECKS = {
     "diameter-bound": ("graphs", check_diameter_bound),
     "protocol-fidelity-closed-form": ("protocol", check_protocol_fidelity_closed_form),
     "min-eigenvalue-closed-form": ("spectra", check_min_eigenvalue_closed_form),
+    "edge-connectivity-reduction": ("graphs", check_edge_connectivity_reduction),
 }
 
 

@@ -82,3 +82,7 @@ def test_c13_protocol_fidelity_closed_form_matches_dense():
 
 def test_c14_min_eigenvalue_closed_form_matches_spectrum():
     _run("min-eigenvalue-closed-form", "14")
+
+
+def test_c15_edge_connectivity_reduction_matches_all_targets():
+    _run("edge-connectivity-reduction", "15")

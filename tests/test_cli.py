@@ -22,6 +22,12 @@ def test_graph_profile_star(capsys):
     assert out.strip().splitlines()[-1].split(",")[5] == "1"  # edge connectivity
 
 
+def test_graph_long_path_exits_cleanly(capsys):
+    code, out, err = run_cli(capsys, "graph", "--family", "path", "--n", "1200")
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == "path-1200,1200,1199,1,2,1,1199"
+
+
 def test_graph_rejects_malformed_edge_list(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n2 2\n")

@@ -1,7 +1,11 @@
 import io
 import random
+import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isonet import (
     INFINITE,
@@ -27,7 +31,11 @@ from isonet import (
     star_graph,
     write_edge_list,
 )
-from isonet.verification import random_connected_graph
+from isonet.verification import (
+    _all_targets_edge_connectivity,
+    planted_cut_graph,
+    random_connected_graph,
+)
 
 
 def test_graph_canonicalizes_and_validates():
@@ -65,6 +73,53 @@ def test_edge_connectivity_examples():
     assert edge_connectivity(star_graph(6)) == 1
     with pytest.raises(ValueError):
         edge_connectivity(Graph(1))
+
+
+def test_flows_on_long_paths_stay_under_the_recursion_limit():
+    assert sys.getrecursionlimit() < 5000
+    assert max_edge_disjoint_paths(path_graph(5000), 0, 4999) == 1
+    assert edge_connectivity(cycle_graph(2100)) == 2
+
+
+@st.composite
+def _small_graphs(draw):
+    """Any simple graph on 2..12 vertices: disconnected ones and isolated
+    vertices included."""
+    n = draw(st.integers(2, 12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def _planted_cut_graphs(draw):
+    a, b = draw(st.integers(4, 30)), draw(st.integers(4, 30))
+    k = draw(st.integers(1, min(a, b) - 2))
+    return planted_cut_graph(random.Random(draw(st.integers(0, 2**32))), a, b, k), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_small_graphs())
+def test_edge_connectivity_equals_exhaustive_cut(g):
+    assert edge_connectivity(g) == edge_connectivity_exhaustive(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_planted_cut_graphs())
+def test_edge_connectivity_finds_planted_cut_below_min_degree(case):
+    g, k = case
+    assert degree_stats(g).minimum > k
+    assert edge_connectivity(g) == _all_targets_edge_connectivity(g) == k
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_small_graphs())
+def test_edge_connectivity_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    assert edge_connectivity(g) == nx.edge_connectivity(h)
 
 
 def test_max_edge_disjoint_paths_examples():
