@@ -12,10 +12,16 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
+import numpy as np
+
 INFINITE = math.inf  # sentinel for distances/diameter of disconnected graphs
+
+# uint64 words in each working array of the all-sources BFS in diameter():
+# 2^21 words is 16 MiB per array, whatever the graph
+BLOCK_WORDS = 1 << 21
 
 GRAPH_FAMILIES = ("complete", "cycle", "path", "star", "tree", "grid")
 
@@ -106,14 +112,58 @@ def distance(g: Graph, u: int, v: int):
 
 
 def diameter(g: Graph):
-    """Largest pairwise distance; INFINITE when the graph is not connected."""
-    if g.vertex_count == 0:
+    """Largest pairwise distance; INFINITE when the graph is not connected.
+
+    A word-parallel BFS from all sources at once (Then et al., "The More the
+    Merrier", VLDB 2014).  Sources go in blocks of 64 * W; each vertex holds
+    W uint64 words of unseen source bits and W words of frontier bits, the
+    sources whose BFS reached it at the current level.  One level ORs the
+    frontier words over each vertex's neighbours (a gather and a reduceat on
+    CSR arrays) and keeps the bits still unseen: level L sets exactly the
+    sources at distance L.  So the last level that sets a bit is the largest
+    eccentricity among the block's sources, and the diameter is the largest
+    over the blocks.  W is chosen so that every working array, the gathered
+    arcs x W block included, holds at most BLOCK_WORDS words.
+    """
+    n = g.vertex_count
+    if n <= 1:
         return 0
+    if not is_connected(g):
+        return INFINITE
+    # connected with n >= 2: no row of the CSR arrays is empty, which
+    # reduceat would misread
+    adjacency = g._adjacency
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in adjacency], out=indptr[1:])
+    arcs = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=arcs)
+    starts = indptr[:-1]
+    words = max(1, min(-(-n // 64), BLOCK_WORDS // max(arcs, n)))
+    gathered = np.empty((arcs, words), dtype=np.uint64)
+    frontier = np.empty((n, words), dtype=np.uint64)
+    reached = np.empty((n, words), dtype=np.uint64)
+    unseen = np.empty((n, words), dtype=np.uint64)
     worst = 0
-    for v in range(g.vertex_count):
-        worst = max(worst, max(_bfs_distances(g, v)))
-        if worst == INFINITE:
-            return INFINITE
+    for first in range(0, n, 64 * words):
+        offsets = np.arange(min(n - first, 64 * words))
+        frontier.fill(0)
+        frontier[first + offsets, offsets // 64] = np.left_shift(
+            np.uint64(1), (offsets % 64).astype(np.uint64)
+        )
+        np.invert(frontier, out=unseen)
+        level = 0
+        while True:
+            # every index is in range; mode="clip" only spares take() the
+            # buffered copy it makes for out= under the default mode="raise"
+            np.take(frontier, indices, axis=0, out=gathered, mode="clip")
+            np.bitwise_or.reduceat(gathered, starts, axis=0, out=reached)
+            reached &= unseen
+            if not reached.any():
+                break
+            unseen ^= reached
+            frontier, reached = reached, frontier
+            level += 1
+        worst = max(worst, level)
     return worst
 
 
@@ -313,12 +363,61 @@ def _greedy_dominating_set(g: Graph) -> list[int]:
     return chosen
 
 
-def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut, via max flows from vertex 0 to a dominating set.
+def _connectivity_up_to_two(g: Graph) -> int:
+    """min(lambda, 2): 0 if disconnected, 1 if some edge is a bridge, else 2.
 
-    Esfahanian & Hakimi (1984): start from L = delta_min, an upper bound,
-    and take max flows from vertex 0 to every other vertex of a dominating
-    set D containing 0, each with cutoff L, lowering L as they come in.
+    One lowpoint DFS from vertex 0 (Tarjan, "A note on finding the bridges of
+    a graph", 1974) with an explicit stack, so no path or cycle reaches the
+    recursion limit.  order[v] is v's discovery index and low[v] the smallest
+    index reachable from v's DFS subtree by tree edges down and one non-tree
+    edge.  A non-tree edge closes a cycle with tree edges, so it is never a
+    bridge.  A tree edge (u, v), v the child, is a bridge exactly when no edge
+    leaves v's subtree except itself, that is when low[v] > order[u].  The
+    graph is simple, so the one edge back to the parent is the tree edge.
+    """
+    adjacency = g._adjacency
+    order = [-1] * g.vertex_count
+    low = [0] * g.vertex_count
+    order[0] = 0
+    visited = 1
+    bridge = False
+    stack = [(0, -1, iter(adjacency[0]))]
+    while stack:
+        v, parent, rest = stack[-1]
+        for w in rest:
+            if order[w] < 0:
+                order[w] = low[w] = visited
+                visited += 1
+                stack.append((w, v, iter(adjacency[w])))
+                break
+            if w != parent and order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            stack.pop()
+            if parent >= 0:
+                if low[v] > order[parent]:
+                    bridge = True
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    if visited < g.vertex_count:
+        return 0
+    return 1 if bridge else 2
+
+
+def edge_connectivity(g: Graph) -> int:
+    """Global minimum edge cut: a bridge search when delta_min <= 2, otherwise
+    max flows from vertex 0 to a dominating set.
+
+    Small minimum degree.  The edges at a vertex of minimum degree form a
+    cut, so lambda <= delta_min; lambda >= 1 exactly when g is connected, and
+    lambda >= 2 exactly when it is connected and no single edge (a bridge)
+    disconnects it.  So for delta_min <= 2, lambda = min(delta_min,
+    _connectivity_up_to_two(g)), in O(n + m).
+
+    Otherwise Esfahanian & Hakimi (1984): start from L = delta_min, an upper
+    bound, and take max flows from vertex 0 to every other vertex of a
+    dominating set D containing 0, each with cutoff L, lowering L as they
+    come in.
 
     Exactness.  Every flow is at least lambda, and lambda <= delta_min.
     Suppose lambda < delta_min and let (S, T) be a minimum cut.  A side S
@@ -337,8 +436,10 @@ def edge_connectivity(g: Graph) -> int:
     if g.vertex_count < 2:
         raise ValueError("edge connectivity needs at least two vertices")
     best = degree_stats(g).minimum
+    if best <= 2:
+        return min(best, _connectivity_up_to_two(g))
     targets = _greedy_dominating_set(g)[1:]
-    if best == 0 or not targets:
+    if not targets:
         return best
     flow = _UnitFlow(g)
     for w in targets:

@@ -26,8 +26,10 @@ from .channels import (
     teleported_ghz_closed_form,
 )
 from .graphs import (
+    INFINITE,
     Graph,
     GridGraphSpec,
+    _bfs_distances,
     _UnitFlow,
     complete_graph,
     cycle_graph,
@@ -148,9 +150,32 @@ def _all_targets_edge_connectivity(g: Graph) -> int:
     return best
 
 
+def _per_source_diameter(g: Graph):
+    """Largest pairwise distance by one BFS from every vertex; INFINITE when
+    the graph is not connected."""
+    worst = 0
+    for v in range(g.vertex_count):
+        worst = max(worst, max(_bfs_distances(g, v)))
+        if worst == INFINITE:
+            return INFINITE
+    return worst
+
+
 def random_graph(rng: random.Random, n: int, density: float) -> Graph:
     """Erdos-Renyi graph on n vertices; may be disconnected."""
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+def _shuffled_graph(rng: random.Random, n: int, edges) -> Graph:
+    """The graph on n vertices with the given edges, vertex ids shuffled."""
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    return Graph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def _cycle_edges(vertices) -> list[tuple[int, int]]:
+    vertices = list(vertices)
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
 
 
 def planted_cut_graph(rng: random.Random, a: int, b: int, k: int) -> Graph:
@@ -159,9 +184,45 @@ def planted_cut_graph(rng: random.Random, a: int, b: int, k: int) -> Graph:
     minimum cut, below the minimum degree."""
     cross = rng.sample([(u, v) for u in range(a) for v in range(a, a + b)], k)
     edges = [*combinations(range(a), 2), *combinations(range(a, a + b), 2), *cross]
-    relabel = list(range(a + b))
-    rng.shuffle(relabel)
-    return Graph(a + b, [(relabel[u], relabel[v]) for u, v in edges])
+    return _shuffled_graph(rng, a + b, edges)
+
+
+def _low_degree_graphs(rng: random.Random) -> list[tuple[str, Graph]]:
+    """Graphs of minimum degree <= 2: two cycles joined by a bridge, sharing
+    a cut vertex (no bridge) or disjoint, a cycle with a pendant path, and
+    sparse random graphs, connected or not."""
+    graphs = []
+    for _ in range(6):
+        a, b = rng.randint(3, 20), rng.randint(3, 20)
+        cycles = _cycle_edges(range(a)) + _cycle_edges(range(a, a + b))
+        bridge = (rng.randrange(a), a + rng.randrange(b))
+        shared = _cycle_edges(range(a)) + _cycle_edges([0, *range(a, a + b - 1)])
+        pendant = [rng.randrange(a), *range(a, a + b)]
+        pendant = _cycle_edges(range(a)) + list(zip(pendant, pendant[1:]))
+        graphs += [
+            (f"bridged-cycles-{a}-{b}", _shuffled_graph(rng, a + b, [*cycles, bridge])),
+            (f"shared-vertex-{a}-{b}", _shuffled_graph(rng, a + b - 1, shared)),
+            (f"pendant-path-{a}-{b}", _shuffled_graph(rng, a + b, pendant)),
+            (f"two-cycles-{a}-{b}", _shuffled_graph(rng, a + b, cycles)),
+        ]
+    for trial in range(30):
+        n = rng.randint(8, 60)
+        if trial % 3 == 0:
+            g = random_graph(rng, n, rng.choice([2.0, 3.0, 4.0]) / n)
+        elif trial % 3 == 1:  # a random spanning tree and chords: bridges likely
+            chords = [rng.sample(range(n), 2) for _ in range(n // 4)]
+            g = Graph(n, [*((rng.randrange(v), v) for v in range(1, n)), *chords])
+        else:  # two Hamiltonian blocks with chords, joined by 0, 1 or 2 edges
+            a = rng.randint(3, n - 3)
+            cross = [(u, v) for u in range(a) for v in range(a, n)]
+            edges = rng.sample(cross, rng.randint(0, 2))
+            for part in (range(a), range(a, n)):
+                edges += _cycle_edges(rng.sample(part, len(part)))
+                edges += [rng.sample(part, 2) for _ in range(len(part) // 4)]
+            g = Graph(n, edges)
+        if degree_stats(g).minimum <= 2:
+            graphs.append((f"sparse-{trial}", g))
+    return graphs
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +450,7 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
         a, b = rng.randint(4, 30), rng.randint(4, 30)
         k = rng.randint(1, min(a, b) - 2)
         graphs.append((f"planted-{a}-{b}-{k}", planted_cut_graph(rng, a, b, k)))
+    graphs += _low_degree_graphs(rng)
     for graph_id, g in graphs:
         fast = edge_connectivity(g) + fault
         twin = _all_targets_edge_connectivity(g)
@@ -396,13 +458,49 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
             return CheckResult(
                 "edge-connectivity-reduction",
                 False,
-                f"{graph_id}: dominating-set flows {fast}, all-targets flows {twin} "
+                f"{graph_id}: edge_connectivity {fast}, all-targets flows {twin} "
                 f"on {sorted(g.edges)}",
             )
     return CheckResult(
         "edge-connectivity-reduction",
         True,
-        f"{len(graphs)} graphs: families, random, disconnected, planted cuts; exact",
+        f"{len(graphs)} graphs: families, random, disconnected, planted cuts, "
+        "minimum degree <= 2 with bridges and cut vertices; exact",
+    )
+
+
+def check_diameter_all_sources(seed, tol_scale, fault) -> CheckResult:
+    rng = random.Random(seed + 5)
+    graphs = [("empty-0", Graph(0)), ("empty-1", Graph(1)), ("empty-2", Graph(2))]
+    graphs += [("edge-2", Graph(2, [(0, 1)])), ("isolated-5", Graph(5, [(0, 1), (1, 2), (2, 3)]))]
+    graphs += [(f"complete-{n}", complete_graph(n)) for n in (1, 2, 3, 17, 64, 65)]
+    graphs += [(f"cycle-{n}", cycle_graph(n)) for n in (3, 4, 9, 10, 63, 64, 65, 129)]
+    graphs += [(f"path-{n}", path_graph(n)) for n in (1, 2, 3, 25, 63, 64, 65, 129)]
+    graphs += [(f"star-{n}", star_graph(n)) for n in (2, 5, 65)]
+    graphs += [(f"tree-{n}", random_tree(n, seed=seed + n)) for n in (1, 2, 12, 63, 64, 65, 129)]
+    graphs += [("grid-4-3", grid_graph(4, 3)), ("grid-3-4", grid_graph(3, 4))]
+    for n in (63, 64, 65, 129):  # sources fill a word exactly, or spill into the next
+        for density in (0.02, 0.05, 0.2):
+            graphs.append((f"random-{n}-{density}", random_graph(rng, n, density)))
+    for trial in range(30):
+        graphs.append((f"connected-{trial}", random_connected_graph(rng, max_vertices=40)))
+        n = rng.randint(2, 40)
+        graphs.append((f"random-{trial}", random_graph(rng, n, rng.choice([0.05, 0.1, 0.3]))))
+    for graph_id, g in graphs:
+        fast = diameter(g) + fault
+        twin = _per_source_diameter(g)
+        if fast != twin:
+            return CheckResult(
+                "diameter-all-sources",
+                False,
+                f"{graph_id}: all-sources BFS {fast}, per-source BFS {twin} "
+                f"on {sorted(g.edges)}",
+            )
+    return CheckResult(
+        "diameter-all-sources",
+        True,
+        f"{len(graphs)} graphs: families, n = 0..2, isolated vertices, word "
+        "boundaries at n = 63..65 and 129, random connected and not; exact",
     )
 
 
@@ -652,6 +750,7 @@ CHECKS = {
     "protocol-fidelity-closed-form": ("protocol", check_protocol_fidelity_closed_form),
     "min-eigenvalue-closed-form": ("spectra", check_min_eigenvalue_closed_form),
     "edge-connectivity-reduction": ("graphs", check_edge_connectivity_reduction),
+    "diameter-all-sources": ("graphs", check_diameter_all_sources),
 }
 
 

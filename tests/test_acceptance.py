@@ -86,3 +86,7 @@ def test_c14_min_eigenvalue_closed_form_matches_spectrum():
 
 def test_c15_edge_connectivity_reduction_matches_all_targets():
     _run("edge-connectivity-reduction", "15")
+
+
+def test_c16_diameter_all_sources_matches_per_source_bfs():
+    _run("diameter-all-sources", "16")

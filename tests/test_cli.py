@@ -1,3 +1,5 @@
+import pytest
+
 from isonet import __version__
 from isonet.cli import main
 
@@ -26,6 +28,26 @@ def test_graph_long_path_exits_cleanly(capsys):
     code, out, err = run_cli(capsys, "graph", "--family", "path", "--n", "1200")
     assert code == 0, err
     assert out.strip().splitlines()[-1] == "path-1200,1200,1199,1,2,1,1199"
+
+
+@pytest.mark.parametrize(
+    "source, row",
+    [
+        (("--family", "complete", "--n", "1"), "complete-1,1,0,0,0,0,0"),
+        (("--family", "path", "--n", "1"), "path-1,1,0,0,0,0,0"),
+        ("1 0\n", ",1,0,0,0,0,0"),
+        ("3 1\n0 1\n", ",3,1,0,1,0,inf"),  # vertex 2 is isolated
+    ],
+)
+def test_graph_tiny_inputs(source, row, tmp_path, capsys):
+    if isinstance(source, str):
+        edge_list = tmp_path / "tiny.txt"
+        edge_list.write_text(source)
+        source = ("--edge-list", str(edge_list))
+        row = f"file:{edge_list}{row}"
+    code, out, err = run_cli(capsys, "graph", *source)
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == row
 
 
 def test_graph_rejects_malformed_edge_list(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isonet import graphs
 from isonet import (
     INFINITE,
     Graph,
@@ -33,6 +34,7 @@ from isonet import (
 )
 from isonet.verification import (
     _all_targets_edge_connectivity,
+    _per_source_diameter,
     planted_cut_graph,
     random_connected_graph,
 )
@@ -92,6 +94,31 @@ def _small_graphs(draw):
 
 
 @st.composite
+def _low_degree_small_graphs(draw):
+    """A graph from _small_graphs with the edges at one vertex cut down to at
+    most two, so that the minimum degree is at most 2."""
+    g = draw(_small_graphs())
+    v = draw(st.integers(0, g.vertex_count - 1))
+    kept = {v, *g.neighbors(v)[: draw(st.integers(0, 2))]}
+    return Graph(g.vertex_count, [e for e in g.edges if v not in e or set(e) <= kept])
+
+
+@st.composite
+def _graphs_up_to_40(draw):
+    """Any graph on 0..40 vertices: a random tree or none, plus random edges,
+    so that disconnected graphs and isolated vertices come up too."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return Graph(n)
+    edges = []
+    if draw(st.booleans()):
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(pairs, max_size=3 * n))
+    return Graph(n, edges)
+
+
+@st.composite
 def _planted_cut_graphs(draw):
     a, b = draw(st.integers(4, 30)), draw(st.integers(4, 30))
     k = draw(st.integers(1, min(a, b) - 2))
@@ -102,6 +129,30 @@ def _planted_cut_graphs(draw):
 @given(g=_small_graphs())
 def test_edge_connectivity_equals_exhaustive_cut(g):
     assert edge_connectivity(g) == edge_connectivity_exhaustive(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_low_degree_small_graphs())
+def test_edge_connectivity_by_bridges_equals_exhaustive_cut(g):
+    assert degree_stats(g).minimum <= 2
+    assert edge_connectivity(g) == edge_connectivity_exhaustive(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_graphs_up_to_40())
+def test_diameter_equals_per_source_bfs(g):
+    assert diameter(g) == _per_source_diameter(g)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_diameter_over_several_source_blocks(n, monkeypatch):
+    # one word per vertex, so blocks of 64 sources: n = 65 and 129 need 2 and 3
+    monkeypatch.setattr(graphs, "BLOCK_WORDS", 1)
+    rng = random.Random(n)
+    tree = random_tree(n, seed=n)
+    chorded = Graph(n, [*tree.edges, *(rng.sample(range(n), 2) for _ in range(n // 8))])
+    for g in (path_graph(n), cycle_graph(n), tree, chorded, complete_graph(n)):
+        assert diameter(g) == _per_source_diameter(g)
 
 
 @settings(max_examples=40, deadline=None)
