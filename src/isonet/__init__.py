@@ -8,14 +8,7 @@ brute-force oracles for everything at desk scale.
 
 __version__ = "0.1.0"
 
-from .channels import (
-    NoisyTeleportChannel,
-    apply_noisy_teleport,
-    depolarized_ghz_component,
-    path_teleport_visibility,
-    star_teleport,
-    teleported_ghz_closed_form,
-)
+from .channels import apply_noisy_teleport, path_teleport_visibility
 from .graphs import (
     GRAPH_FAMILIES,
     INFINITE,
@@ -29,7 +22,6 @@ from .graphs import (
     diameter,
     distance,
     edge_connectivity,
-    edge_connectivity_exhaustive,
     generate,
     grid_graph,
     is_connected,
@@ -71,6 +63,7 @@ from .protocol import (
     downgrade_visibility,
     fidelity_from_visibility,
     ghz_teleport_fidelity,
+    pure_target_fidelity,
     recurrence_step,
     simulate_partial_distillation,
     visibility_from_fidelity,
@@ -78,16 +71,13 @@ from .protocol import (
 )
 from .spectra import (
     SpectrumIndex,
-    TeleportedGhzSpectrum,
     bipartition_r_index,
     is_ppt_teleported_ghz,
     min_eigenvalue_teleported_ghz,
     noise_overlap_closed,
-    noise_overlap_direct,
     normalize_bipartition,
     partial_transpose_eigenvalue,
     ppt_crossover,
-    teleported_ghz_spectrum,
 )
 from .spiders import (
     Spider,

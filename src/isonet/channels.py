@@ -10,7 +10,6 @@ n-qubit GHZ state after every share went through one such channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -20,7 +19,6 @@ from .hilbert import (
     DensityOperator,
     _require_capacity,
     ghz,
-    max_entangled,
     partial_trace,
 )
 
@@ -50,31 +48,6 @@ def apply_noisy_teleport(rho: DensityOperator, p: float, factor: int) -> Density
     axes = order + [a + k for a in order]
     mixed = product.transpose(axes).reshape(rho.total_dim, rho.total_dim)
     return DensityOperator(rho.dims, p * rho.matrix + (1.0 - p) * mixed)
-
-
-@dataclass(frozen=True)
-class NoisyTeleportChannel:
-    """Teleportation through an isotropic resource of dimension d, visibility p."""
-
-    d: int
-    p: float
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension must be at least 2")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"visibility {self.p} outside [0, 1]")
-
-    def apply(self, rho: DensityOperator, factor: int) -> DensityOperator:
-        if rho.dims[factor] != self.d:
-            raise ValueError(f"factor dimension {rho.dims[factor]} != channel dimension {self.d}")
-        return apply_noisy_teleport(rho, self.p, factor)
-
-    def choi(self) -> DensityOperator:
-        """Normalized Choi state (id (x) channel applied to the maximally
-        entangled pair); PSD exactly when the channel is completely positive."""
-        pair = max_entangled(self.d).density()
-        return apply_noisy_teleport(pair, self.p, 1)
 
 
 def _saturating_pow2(exponent: float) -> float:

@@ -61,25 +61,28 @@ def _emit(lines: list[str], out_path: str | None):
         sys.stdout.write(text)
 
 
-def _parse_float_list(spec: str) -> list[float]:
+def _parse_list(spec: str, kind, what: str) -> list:
+    """Comma-separated values; empty parts are skipped, but one value is needed."""
     try:
-        return [float(part) for part in spec.split(",") if part != ""]
+        values = [kind(part) for part in spec.split(",") if part != ""]
     except ValueError:
-        raise ValueError(f"could not parse number list {spec!r}") from None
+        raise ValueError(f"could not parse {what} {spec!r}") from None
+    if not values:
+        raise ValueError(f"empty {what} {spec!r}")
+    return values
 
 
 def _parse_int_values(spec: str) -> list[int]:
     """Either 'lo:hi' (inclusive) or a comma-separated list."""
+    if ":" not in spec:
+        return _parse_list(spec, int, "integer range")
     try:
-        if ":" in spec:
-            lo, hi = spec.split(":")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(part) for part in spec.split(",") if part != ""]
+        lo, hi = (int(part) for part in spec.split(":"))
+        if hi < lo:
+            raise ValueError
     except ValueError:
         raise ValueError(f"could not parse integer range {spec!r}") from None
+    return list(range(lo, hi + 1))
 
 
 def _load_graph(args: argparse.Namespace):
@@ -127,16 +130,9 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _parse_subset(spec: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in spec.split(",") if part != "")
-    except ValueError:
-        raise ValueError(f"could not parse vertex subset {spec!r}") from None
-
-
 def cmd_spider(args) -> int:
     g, graph_id = _load_graph(args)
-    subset = _parse_subset(args.subset)
+    subset = _parse_list(args.subset, int, "vertex subset")
     center = args.center if args.center is not None else default_center(g, subset)
     if args.method == "grid":
         if args.family != "grid":
@@ -161,7 +157,7 @@ def cmd_spider(args) -> int:
 
 
 def cmd_ppt_scan(args) -> int:
-    p_values = _parse_float_list(args.p)
+    p_values = _parse_list(args.p, float, "number list")
     n_values = _parse_int_values(args.n)
     w = args.w
     if w < 1:
@@ -237,8 +233,8 @@ def _report_text(report) -> list[str]:
 
 def cmd_protocol(args) -> int:
     g, graph_id = _load_graph(args)
-    subset = _parse_subset(args.subset)
-    p_values = _parse_float_list(args.p)
+    subset = _parse_list(args.subset, int, "vertex subset")
+    p_values = _parse_list(args.p, float, "number list")
 
     def run(p: float):
         return simulate_partial_distillation(

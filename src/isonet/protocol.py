@@ -12,10 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import combinations
+from math import prod
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from . import spiders as spiders_mod
-from .channels import _saturating_pow2, apply_noisy_teleport, path_teleport_visibility
+from .channels import _saturating_pow2, path_teleport_visibility
 from .graphs import (
     Graph,
     degree_stats,
@@ -24,7 +28,7 @@ from .graphs import (
     is_connected,
     shortest_path,
 )
-from .hilbert import PureStateVector, _require_capacity, fidelity
+from .hilbert import PureStateVector
 
 RECURRENCE_MODEL_NOTE = "recurrence model, deterministic best case"
 
@@ -151,7 +155,7 @@ class ProtocolReport:
     plan: ProtocolPlan
     spiders_found: int
     targets: tuple[TargetOutcome, ...]
-    final_fidelity: float | None
+    final_fidelity: float
     p_above_threshold: bool
     necessary_condition_violated: bool
     edge_connectivity: int
@@ -169,13 +173,13 @@ def default_center(g: Graph, subset: frozenset) -> int:
     return max(sorted(subset), key=lambda v: (g.degree(v), -v))
 
 
-def _plan(g: Graph, subset: frozenset, center: int, lam: int, d: int) -> ProtocolPlan:
+def _plan(g: Graph, subset: frozenset, center: int, lam: int) -> ProtocolPlan:
     dmin = degree_stats(g).minimum
     c = Fraction(dmin, g.vertex_count)
     budget = spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(subset))
     return ProtocolPlan(
         ratio_c=c,
-        p0=visibility_threshold(float(c), d),
+        p0=visibility_threshold(float(c), 2),
         spider_budget=budget.count,
         leg_length_bound=budget.leg_length_bound,
         center=center,
@@ -183,15 +187,57 @@ def _plan(g: Graph, subset: frozenset, center: int, lam: int, d: int) -> Protoco
     )
 
 
+def pure_target_fidelity(target: PureStateVector, visibilities: Mapping[int, float]) -> float:
+    """Fidelity with a pure qubit state psi after the qubits at the given
+    positions (the noisy set N) went through noisy teleportation channels of
+    the given visibilities; the other qubits, such as the center, are kept.
+
+    The channels expand into one term per cut B of N, with B replaced by
+    white noise, and <psi| rho_(not B) (x) I_B/2^|B| |psi> = tr(rho_B^2)/2^|B|:
+
+        F = sum_B prod_(i in B) (1-p_i) prod_(i in N\\B) p_i tr(rho_B^2)/2^|B|.
+
+    Each purity is the squared Frobenius norm of the Gram matrix of psi
+    reshaped across the cut, on the smaller side.  The empty cut has purity
+    exactly 1, so all-ones visibilities give exactly 1.0; cuts of zero weight
+    are skipped.  No density operator is built.
+    """
+    m = len(target.dims)
+    if target.dims != (2,) * m:
+        raise ValueError(f"target state dims {target.dims} are not all qubits")
+    for position, p in visibilities.items():
+        if not 0 <= position < m:
+            raise ValueError(f"position {position} outside range [0, {m})")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"visibility {p} outside [0, 1]")
+    noisy = sorted(visibilities)
+    amplitudes = target.vector.reshape((2,) * m)
+    total = prod(visibilities[i] for i in noisy)  # the empty cut, purity 1
+    for size in range(1, len(noisy) + 1):
+        for cut in combinations(noisy, size):
+            weight = prod(
+                1.0 - visibilities[i] if i in cut else visibilities[i] for i in noisy
+            )
+            if weight == 0.0:
+                continue
+            rest = [q for q in range(m) if q not in cut]
+            matrix = amplitudes.transpose(list(cut) + rest).reshape(2**size, -1)
+            if size > m - size:
+                matrix = matrix.T
+            gram = matrix @ matrix.conj().T
+            total += weight * np.vdot(gram, gram).real / 2**size
+    return float(total)
+
+
 def ghz_teleport_fidelity(visibilities: Iterable[float]) -> float:
     """Fidelity with GHZ of the m-party GHZ state after its non-center shares
     went through noisy teleportation channels of the given visibilities.
 
-    F = (1/2) prod p_i + (1/2) prod (1+p_i)/2 over the non-center parties: the
-    GHZ coherence survives with weight prod p_i, the |0...0> population with
-    weight prod (1+p_i)/2, and the |1...1> population term prod (1-p_i)/2 is
-    killed by the center's identity channel.  Products are accumulated in the
-    order given.
+    The sum of pure_target_fidelity in O(m): on GHZ every nonempty cut that
+    leaves out the center has purity 1/2, so over the non-center parties
+    F = prod p_i + (1/2)(prod ((1-p_i)/2 + p_i) - prod p_i)
+      = (1/2) prod p_i + (1/2) prod (1+p_i)/2.
+    Products are accumulated in the order given.
     """
     coherence = 1.0
     population = 1.0
@@ -211,16 +257,15 @@ def simulate_partial_distillation(
     target_state: PureStateVector | None = None,
     uniform_legs: bool = False,
     graph_id: str = "graph",
-    local_dim: int = 2,
 ) -> ProtocolReport:
     """Run the full pipeline on one graph at one link visibility.
 
     When spider extraction yields nothing (a tree, a star reached away from
     its center, ...), each target falls back to a single teleportation path
     with zero distilled copies, and the report flags the connectivity
-    obstruction whenever the edge connectivity is 1.  The recurrence only
-    covers qubit links: for local_dim > 2 the pipeline stops after the leg
-    teleportation stage and reports chunk visibilities without a fidelity.
+    obstruction whenever the edge connectivity is 1.  Links and targets are
+    qubits; a custom target_state needs one qubit per subset vertex, in
+    sorted vertex order.
     """
     verts = spiders_mod._check_subset(g, (int(v) for v in subset))
     if not is_connected(g):
@@ -233,16 +278,13 @@ def simulate_partial_distillation(
         raise ValueError("center must belong to the target subset")
 
     m = len(verts)
-    distill_stage = local_dim == 2
-    if target_state is not None and distill_stage:
-        if target_state.dims != (2,) * m:
-            raise ValueError(
-                f"target state dims {target_state.dims} do not match {m} qubit parties"
-            )
-        _require_capacity(2**m)  # the custom target goes through the dense route
+    if target_state is not None and target_state.dims != (2,) * m:
+        raise ValueError(
+            f"target state dims {target_state.dims} do not match {m} qubit parties"
+        )
 
     lam = edge_connectivity(g)
-    plan = _plan(g, verts, center, lam, d=local_dim)
+    plan = _plan(g, verts, center, lam)
     uniform_bound = float(plan.leg_length_bound)
 
     decomposition = spiders_mod.extract_spiders(g, verts, center)
@@ -265,7 +307,7 @@ def simulate_partial_distillation(
             )
         chunk = min(visibilities)  # every copy is equalized to the worst leg
         below = False
-        if copies > 0 and distill_stage:
+        if copies > 0:
             try:
                 distilled, consumed = distilled_visibility(chunk, copies)
             except BelowThresholdError:
@@ -287,22 +329,14 @@ def simulate_partial_distillation(
         )
 
     # final stage: teleport the locally prepared state through the
-    # distilled pairs (identity on the center's factor); the GHZ target has
-    # a closed form, a custom target is composed densely
-    if not distill_stage:
-        final_fidelity = None
-    elif target_state is None:
+    # distilled pairs (identity on the center's factor)
+    if target_state is None:
         final_fidelity = ghz_teleport_fidelity(t.distilled for t in targets)
-    elif all(t.distilled == 1.0 for t in targets):
-        final_fidelity = 1.0  # every channel is the identity map
     else:
-        state = target_state.density()
-        by_target = {t.target: t.distilled for t in targets}
-        for position, vertex in enumerate(sorted(verts)):
-            if vertex == center:
-                continue
-            state = apply_noisy_teleport(state, by_target[vertex], position)
-        final_fidelity = fidelity(target_state, state)
+        position = {vertex: i for i, vertex in enumerate(sorted(verts))}
+        final_fidelity = pure_target_fidelity(
+            target_state, {position[t.target]: t.distilled for t in targets}
+        )
 
     return ProtocolReport(
         graph_id=graph_id,

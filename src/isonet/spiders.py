@@ -111,6 +111,8 @@ def extract_spiders(
     verts = _check_subset(g, subset)
     if center not in verts:
         raise ValueError("center must belong to the target subset")
+    if max_spiders is not None and max_spiders < 0:
+        raise ValueError(f"max_spiders {max_spiders} is negative")
     if not is_connected(g):
         raise ValueError("premise violated: graph must be connected")
     dmin = degree_stats(g).minimum

@@ -45,6 +45,7 @@ from .graphs import (
     star_graph,
 )
 from .hilbert import (
+    PureStateVector,
     fidelity,
     ghz,
     ghz_basis,
@@ -677,39 +678,86 @@ def check_protocol_trend(seed, tol_scale, fault) -> CheckResult:
     )
 
 
+def _dense_teleport_fidelity(target: PureStateVector, visibilities: dict) -> float:
+    """The final stage composed densely: each listed position's channel
+    applied to the target's density matrix, then the fidelity with it."""
+    state = target.density()
+    for position, p in visibilities.items():
+        state = apply_noisy_teleport(state, p, position)
+    return fidelity(target, state)
+
+
 def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
+    """Both final-stage forms against the dense loop: the GHZ product for
+    m = 2..8 and the cut sum on random pure targets for m = 2..7, every
+    center; then the cut sum on GHZ targets against the product up to m = 12,
+    where the dense loop would need 4^12 entries."""
+    name = "protocol-fidelity-closed-form"
     tol = 1e-12 * tol_scale
     grid = (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0)
     rng = random.Random(seed + 2)
+    amplitude_rng = np.random.default_rng(seed + 2)
+
+    def trials(m, center, uniform):
+        # the grid cycled by the center, one random draw, and uniform
+        # visibilities (a dense trial takes ~0.1 s at m = 8)
+        drawn = [
+            tuple(grid[(center + i) % len(grid)] for i in range(m - 1)),
+            tuple(rng.random() for _ in range(m - 1)),
+        ]
+        return drawn + ([(p,) * (m - 1) for p in grid] if uniform else [])
+
     for m in range(2, 9):
         target = ghz(m)
         for center in range(m):
-            # the grid cycled by the center, one random draw, and uniform
-            # visibilities up to m = 6 (a dense trial takes ~0.1 s at m = 8)
-            trials = [
-                tuple(grid[(center + i) % len(grid)] for i in range(m - 1)),
-                tuple(rng.random() for _ in range(m - 1)),
-            ]
-            if m <= 6:
-                trials += [(p,) * (m - 1) for p in grid]
-            for visibilities in trials:
+            others = [q for q in range(m) if q != center]
+            for visibilities in trials(m, center, uniform=m <= 6):
                 closed = protocol_mod.ghz_teleport_fidelity(visibilities) + fault
-                state = target.density()
-                others = (q for q in range(m) if q != center)
-                for position, p in zip(others, visibilities):
-                    state = apply_noisy_teleport(state, p, position)
-                dense = fidelity(target, state)
+                dense = _dense_teleport_fidelity(target, dict(zip(others, visibilities)))
                 if abs(closed - dense) > tol:
                     return CheckResult(
-                        "protocol-fidelity-closed-form",
+                        name,
                         False,
                         f"m={m} center={center} p={visibilities}: "
                         f"closed {closed!r} vs dense {dense!r}",
                     )
+    for m in range(2, 8):
+        for center in range(m):
+            real, imag = amplitude_rng.normal(size=(2, 2**m))
+            amplitudes = real + 1j * imag
+            target = PureStateVector((2,) * m, amplitudes / np.linalg.norm(amplitudes))
+            others = [q for q in range(m) if q != center]
+            for visibilities in trials(m, center, uniform=m <= 6):
+                noisy = dict(zip(others, visibilities))
+                summed = protocol_mod.pure_target_fidelity(target, noisy)
+                dense = _dense_teleport_fidelity(target, noisy)
+                if abs(summed - dense) > tol:
+                    return CheckResult(
+                        name,
+                        False,
+                        f"random target m={m} center={center} p={visibilities}: "
+                        f"sum {summed!r} vs dense {dense!r}",
+                    )
+    for m in range(2, 13):
+        center = rng.randrange(m)
+        visibilities = tuple(
+            rng.choice(grid) if rng.random() < 0.25 else rng.random() for _ in range(m - 1)
+        )
+        others = [q for q in range(m) if q != center]
+        summed = protocol_mod.pure_target_fidelity(ghz(m), dict(zip(others, visibilities)))
+        closed = protocol_mod.ghz_teleport_fidelity(visibilities)
+        if abs(summed - closed) > tol:
+            return CheckResult(
+                name,
+                False,
+                f"GHZ target m={m} center={center} p={visibilities}: "
+                f"sum {summed!r} vs product {closed!r}",
+            )
     return CheckResult(
-        "protocol-fidelity-closed-form",
+        name,
         True,
-        "m in 2..8, every center, grid and random visibilities, <= 1e-12",
+        "GHZ product (m <= 8) and cut sum on random targets (m <= 7) vs dense, "
+        "every center; cut sum vs product on GHZ (m <= 12); <= 1e-12",
     )
 
 
@@ -762,6 +810,8 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the oracle suite; inject_fault deliberately breaks one comparison
     (harness sanity), tol_scale rescales every comparison tolerance."""
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"tolerance scale {tol_scale} is not finite and positive")
     results = []
     fault = 1e-6 if inject_fault else 0.0
     for name, (tag, check) in CHECKS.items():

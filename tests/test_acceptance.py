@@ -13,6 +13,7 @@ _TIMED = {
     "teleported-ghz-closed-form": 30.0,
     "noise-overlap-forms": 60.0,
     "menger-duality": 60.0,
+    "protocol-fidelity-closed-form": 30.0,
 }
 
 

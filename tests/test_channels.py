@@ -4,15 +4,16 @@ import pytest
 from helpers import random_density_operator
 from isonet import (
     CapacityError,
-    NoisyTeleportChannel,
     apply_noisy_teleport,
-    depolarized_ghz_component,
     ghz,
     ghz_basis,
     isotropic,
     max_entangled,
     partial_trace,
     path_teleport_visibility,
+)
+from isonet.channels import (
+    depolarized_ghz_component,
     star_teleport,
     teleported_ghz_closed_form,
 )
@@ -58,8 +59,8 @@ def test_channel_factor_placement():
 def test_choi_state_is_physical_on_grid():
     for d in (2, 3):
         for p in np.linspace(0.0, 1.0, 11):
-            channel = NoisyTeleportChannel(d, float(p))
-            choi = channel.choi()  # construction enforces PSD and unit trace
+            # the normalized Choi state: construction enforces PSD and unit trace
+            choi = apply_noisy_teleport(max_entangled(d).density(), float(p), 1)
             # trace preservation: the input marginal of the Choi state is I/d
             marginal = partial_trace(choi, [1])
             assert np.abs(marginal.matrix - np.eye(d) / d).max() < 1e-12

@@ -232,3 +232,27 @@ def test_headers_record_seed_and_config(capsys):
     head = out.splitlines()
     assert head[1] == "# seed: 11"
     assert "family=tree" in head[2] and "n=7" in head[2]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_tolerance_scale(tol, capsys):
+    code, out, err = run_cli(capsys, "verify", "--filter", "menger-duality", "--tol", tol)
+    assert code == 2
+    assert "tolerance scale" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("protocol", "--family", "complete", "--n", "10", "--subset", "0,1", "--p", ","),
+        ("ppt-scan", "--n", "5:6", "--p", ","),
+        ("ppt-scan", "--n", ",", "--p", "0.9"),
+        ("spider", "--family", "complete", "--n", "8", "--subset", "0,3", "--max-spiders", "-2"),
+    ],
+)
+def test_usage_errors_exit_2(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -19,7 +19,6 @@ from isonet import (
     diameter,
     distance,
     edge_connectivity,
-    edge_connectivity_exhaustive,
     generate,
     grid_graph,
     is_connected,
@@ -32,6 +31,7 @@ from isonet import (
     star_graph,
     write_edge_list,
 )
+from isonet.graphs import edge_connectivity_exhaustive
 from isonet.verification import (
     _all_targets_edge_connectivity,
     _per_source_diameter,

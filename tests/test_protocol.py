@@ -1,9 +1,15 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_pure_state
 from isonet import (
     BelowThresholdError,
-    CapacityError,
     DensityOperator,
+    PureStateVector,
     complete_graph,
     connectivity_growth_scan,
     cycle_graph,
@@ -15,6 +21,7 @@ from isonet import (
     ghz_teleport_fidelity,
     grid_graph,
     path_teleport_visibility,
+    pure_target_fidelity,
     random_tree,
     recurrence_step,
     simulate_partial_distillation,
@@ -22,6 +29,7 @@ from isonet import (
     visibility_from_fidelity,
     visibility_threshold,
 )
+from isonet.verification import _dense_teleport_fidelity
 
 
 def test_visibility_threshold_values():
@@ -165,15 +173,6 @@ def test_simulation_gain_flags():
             assert outcome.strictly_improved == in_gain_region
 
 
-def test_simulation_qutrit_links_stop_after_teleport_stage():
-    report = simulate_partial_distillation(
-        complete_graph(12), (0, 1, 2), 0.8, center=0, local_dim=3
-    )
-    assert report.final_fidelity is None
-    assert all(t.distilled == t.chunk_visibility for t in report.targets)
-    assert all(t.copies_consumed == 0 for t in report.targets)
-
-
 def test_simulation_uniform_legs_never_beats_actual():
     g = complete_graph(24)
     plain = simulate_partial_distillation(g, (0, 1, 2), 0.99, center=0)
@@ -227,17 +226,65 @@ def test_simulation_custom_ghz_target_matches_closed_form():
     for p in (0.6, 0.95, 1.0):
         for center in (0, 2):
             closed = simulate_partial_distillation(g, (0, 1, 2, 3), p, center=center)
-            dense = simulate_partial_distillation(
+            summed = simulate_partial_distillation(
                 g, (0, 1, 2, 3), p, center=center, target_state=ghz(4)
             )
-            assert abs(closed.final_fidelity - dense.final_fidelity) <= 1e-12
+            assert abs(closed.final_fidelity - summed.final_fidelity) <= 1e-12
 
 
-def test_simulation_custom_target_above_cap_raises():
-    with pytest.raises(CapacityError):
-        simulate_partial_distillation(
-            complete_graph(20), range(13), 0.99, target_state=ghz(13)
-        )
+def test_simulation_custom_target_above_cap_builds_no_dense_state(monkeypatch):
+    default = simulate_partial_distillation(complete_graph(20), range(13), 0.99)
+
+    def refuse(self):
+        raise AssertionError("dense state built on a custom target")
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", refuse)
+    custom = simulate_partial_distillation(
+        complete_graph(20), range(13), 0.99, target_state=ghz(13)
+    )
+    assert abs(custom.final_fidelity - default.final_fidelity) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_pure_target_fidelity_matches_dense_route(m, seed, data):
+    target = random_pure_state((2,) * m, np.random.default_rng(seed))
+    noisy = data.draw(st.sets(st.integers(min_value=0, max_value=m - 1)))
+    visibility = st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+    )
+    visibilities = {q: data.draw(visibility) for q in sorted(noisy)}
+    summed = pure_target_fidelity(target, visibilities)
+    assert abs(summed - _dense_teleport_fidelity(target, visibilities)) <= 1e-12
+
+
+def test_pure_target_fidelity_product_state_beyond_cap():
+    # every reduction of a product state is pure, so F = prod (1 + p_i)/2
+    rng = np.random.default_rng(13)
+    vector = np.ones(1)
+    for _ in range(13):
+        vector = np.kron(vector, random_pure_state((2,), rng).vector)
+    target = PureStateVector((2,) * 13, vector)
+    visibilities = {q: float(p) for q, p in zip(range(1, 13), rng.random(12))}
+    expected = math.prod((1.0 + p) / 2.0 for p in visibilities.values())
+    assert abs(pure_target_fidelity(target, visibilities) - expected) <= 1e-12
+
+
+def test_pure_target_fidelity_limits_and_validation():
+    target = random_pure_state((2, 2, 2), np.random.default_rng(5))
+    assert pure_target_fidelity(target, {0: 1.0, 1: 1.0, 2: 1.0}) == 1.0
+    assert pure_target_fidelity(target, {}) == 1.0
+    assert pure_target_fidelity(ghz(3), {1: 0.0, 2: 0.0}) == pytest.approx(0.125, abs=1e-15)
+    with pytest.raises(ValueError):
+        pure_target_fidelity(target, {3: 0.5})
+    with pytest.raises(ValueError):
+        pure_target_fidelity(target, {0: 1.5})
+    with pytest.raises(ValueError):
+        pure_target_fidelity(random_pure_state((2, 3), np.random.default_rng(5)), {0: 0.5})
 
 
 def test_growth_scan_verdicts():

@@ -9,21 +9,22 @@ from hypothesis import strategies as st
 from isonet import (
     SpectrumIndex,
     bipartition_r_index,
-    depolarized_ghz_component,
     ghz_basis,
     is_ppt,
     is_ppt_teleported_ghz,
     min_eigenvalue_teleported_ghz,
     noise_overlap_closed,
-    noise_overlap_direct,
     normalize_bipartition,
     partial_transpose,
     partial_transpose_eigenvalue,
     ppt_crossover,
-    teleported_ghz_closed_form,
+)
+from isonet.channels import depolarized_ghz_component, teleported_ghz_closed_form
+from isonet.spectra import (
+    noise_overlap_direct,
+    spectrum_trace_by_weight,
     teleported_ghz_spectrum,
 )
-from isonet.spectra import spectrum_trace_by_weight
 from isonet.verification import _class_scan_min_eigenvalues
 
 # visibilities in (0, 1], with the perfect and the near-perfect links pinned
