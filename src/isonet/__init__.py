@@ -63,8 +63,10 @@ from .protocol import (
     downgrade_visibility,
     fidelity_from_visibility,
     ghz_teleport_fidelity,
+    plan_partial_distillation,
     pure_target_fidelity,
     recurrence_step,
+    run_partial_distillation,
     simulate_partial_distillation,
     visibility_from_fidelity,
     visibility_threshold,

@@ -59,7 +59,7 @@ def _saturating_pow2(exponent: float) -> float:
         return math.inf
 
 
-def path_teleport_visibility(p: float, length: int) -> float:
+def path_teleport_visibility(p: float, length: float) -> float:
     """End-to-end visibility p^(2^(length-1)) of teleportation along a path.
 
     Each additional hop teleports the accumulated pair through a resource

@@ -22,7 +22,7 @@ from .graphs import (
     generate,
     read_edge_list,
 )
-from .protocol import default_center, simulate_partial_distillation
+from .protocol import default_center, plan_partial_distillation, run_partial_distillation
 from .spectra import is_ppt_teleported_ghz, min_eigenvalue_teleported_ghz, ppt_crossover
 from .spiders import decomposition_lines, extract_spiders, grid_spiders, spider_guarantee
 
@@ -137,6 +137,8 @@ def cmd_spider(args) -> int:
     if args.method == "grid":
         if args.family != "grid":
             raise ValueError("--method grid needs --family grid")
+        if args.max_spiders is not None:
+            raise ValueError("--max-spiders needs --method greedy")
         dec = grid_spiders(GridGraphSpec(args.n, args.k), subset, center)
     else:
         dec = extract_spiders(g, subset, center, max_spiders=args.max_spiders)
@@ -235,39 +237,30 @@ def cmd_protocol(args) -> int:
     g, graph_id = _load_graph(args)
     subset = _parse_list(args.subset, int, "vertex subset")
     p_values = _parse_list(args.p, float, "number list")
-
-    def run(p: float):
-        return simulate_partial_distillation(
-            g,
-            subset,
-            p,
-            center=args.center,
-            uniform_legs=args.uniform_legs,
-            graph_id=graph_id,
-        )
-
+    plan = plan_partial_distillation(g, subset, center=args.center)
+    reports = [
+        run_partial_distillation(plan, p, uniform_legs=args.uniform_legs, graph_id=graph_id)
+        for p in p_values
+    ]
     lines = _header(args)
-    if len(p_values) == 1:
-        lines.extend(_report_text(run(p_values[0])))
+    if len(reports) == 1:
+        lines.extend(_report_text(reports[0]))
     else:
         lines.append("graph_id,N,m,p,c,p0,M_n,spiders_found,p_prime_min,fidelity")
-        for report in map(run, p_values):
-            lines.append(
-                ",".join(
-                    [
-                        report.graph_id,
-                        _fmt(report.vertex_count),
-                        _fmt(len(report.plan.subset)),
-                        _fmt(report.p),
-                        _fmt(float(report.plan.ratio_c)),
-                        _fmt(report.plan.p0),
-                        _fmt(report.plan.spider_budget),
-                        _fmt(report.spiders_found),
-                        _fmt(report.p_prime_min),
-                        _fmt(report.final_fidelity),
-                    ]
-                )
+        for report in reports:
+            values = (
+                graph_id,
+                plan.vertex_count,
+                len(plan.subset),
+                report.p,
+                float(plan.ratio_c),
+                plan.p0,
+                plan.spider_budget,
+                plan.spiders_found,
+                report.p_prime_min,
+                report.final_fidelity,
             )
+            lines.append(",".join(map(_fmt, values)))
     _emit(lines, args.out)
     return 0
 

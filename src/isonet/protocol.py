@@ -20,14 +20,7 @@ import numpy as np
 
 from . import spiders as spiders_mod
 from .channels import _saturating_pow2, path_teleport_visibility
-from .graphs import (
-    Graph,
-    degree_stats,
-    edge_connectivity,
-    generate,
-    is_connected,
-    shortest_path,
-)
+from .graphs import Graph, degree_stats, edge_connectivity, generate, shortest_path
 from .hilbert import PureStateVector
 
 RECURRENCE_MODEL_NOTE = "recurrence model, deterministic best case"
@@ -63,9 +56,7 @@ def downgrade_visibility(p: float, actual_length: int, uniform_length: float) ->
         raise ValueError(
             f"actual length {actual_length} exceeds uniform bound {uniform_length}"
         )
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"visibility {p} outside [0, 1]")
-    return float(p) ** _saturating_pow2(uniform_length - 1.0)
+    return path_teleport_visibility(p, uniform_length)
 
 
 def fidelity_from_visibility(p: float) -> float:
@@ -120,14 +111,21 @@ def distilled_visibility(p_chunk: float, copies: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class ProtocolPlan:
-    """Pre-run quantities: degree ratio, threshold, spider budget, leg bound."""
+    """The graph side of the pipeline, which no link visibility p changes.
+    leg_lengths maps each target, in sorted order, to one leg length per
+    spider, or to the one shortest path it falls back on when there is none."""
 
+    vertex_count: int
+    min_degree: int
+    edge_connectivity: int
     ratio_c: Fraction
     p0: float
     spider_budget: int
     leg_length_bound: Fraction
     center: int
     subset: frozenset
+    spiders_found: int
+    leg_lengths: dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -150,16 +148,11 @@ class TargetOutcome:
 @dataclass(frozen=True)
 class ProtocolReport:
     graph_id: str
-    vertex_count: int
     p: float
     plan: ProtocolPlan
-    spiders_found: int
     targets: tuple[TargetOutcome, ...]
     final_fidelity: float
     p_above_threshold: bool
-    necessary_condition_violated: bool
-    edge_connectivity: int
-    min_degree: int
     uniform_legs: bool
     model_note: str = RECURRENCE_MODEL_NOTE
 
@@ -167,24 +160,17 @@ class ProtocolReport:
     def p_prime_min(self) -> float:
         return min(t.distilled for t in self.targets)
 
+    # graph-side facts, stored only in the plan
+    vertex_count = property(lambda report: report.plan.vertex_count)
+    min_degree = property(lambda report: report.plan.min_degree)
+    edge_connectivity = property(lambda report: report.plan.edge_connectivity)
+    spiders_found = property(lambda report: report.plan.spiders_found)
+    necessary_condition_violated = property(lambda report: report.plan.edge_connectivity <= 1)
+
 
 def default_center(g: Graph, subset: frozenset) -> int:
     """Heuristic center: the subset vertex of maximum degree (ties: smallest id)."""
     return max(sorted(subset), key=lambda v: (g.degree(v), -v))
-
-
-def _plan(g: Graph, subset: frozenset, center: int, lam: int) -> ProtocolPlan:
-    dmin = degree_stats(g).minimum
-    c = Fraction(dmin, g.vertex_count)
-    budget = spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(subset))
-    return ProtocolPlan(
-        ratio_c=c,
-        p0=visibility_threshold(float(c), 2),
-        spider_budget=budget.count,
-        leg_length_bound=budget.leg_length_bound,
-        center=center,
-        subset=subset,
-    )
 
 
 def pure_target_fidelity(target: PureStateVector, visibilities: Mapping[int, float]) -> float:
@@ -249,72 +235,82 @@ def ghz_teleport_fidelity(visibilities: Iterable[float]) -> float:
     return 0.5 * coherence + 0.5 * population
 
 
-def simulate_partial_distillation(
-    g: Graph,
-    subset: Iterable,
-    p: float,
-    center: int | None = None,
-    target_state: PureStateVector | None = None,
-    uniform_legs: bool = False,
-    graph_id: str = "graph",
-) -> ProtocolReport:
-    """Run the full pipeline on one graph at one link visibility.
+def plan_partial_distillation(
+    g: Graph, subset: Iterable, center: int | None = None
+) -> ProtocolPlan:
+    """Every check and every graph computation of the pipeline, done once.
 
     When spider extraction yields nothing (a tree, a star reached away from
-    its center, ...), each target falls back to a single teleportation path
-    with zero distilled copies, and the report flags the connectivity
-    obstruction whenever the edge connectivity is 1.  Links and targets are
-    qubits; a custom target_state needs one qubit per subset vertex, in
-    sorted vertex order.
+    its center, ...), each target falls back to a single teleportation path,
+    a shortest one, with zero distilled copies; the report flags the
+    connectivity obstruction whenever the edge connectivity is 1.
     """
     verts = spiders_mod._check_subset(g, (int(v) for v in subset))
-    if not is_connected(g):
+    lam = edge_connectivity(g)
+    if lam == 0:  # lambda >= 1 exactly when g is connected
         raise ValueError("graph must be connected")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"visibility {p} outside [0, 1]")
     if center is None:
         center = default_center(g, verts)
     if center not in verts:
         raise ValueError("center must belong to the target subset")
 
-    m = len(verts)
+    dmin = degree_stats(g).minimum
+    c = Fraction(dmin, g.vertex_count)
+    budget = spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(verts))
+    spiders = spiders_mod.extract_spiders(g, verts, center).spiders
+    targets = sorted(verts - {center})
+    if spiders:
+        leg_lengths = {t: tuple(s.legs[t].length for s in spiders) for t in targets}
+    else:
+        leg_lengths = {t: (shortest_path(g, center, t).length,) for t in targets}
+    return ProtocolPlan(
+        vertex_count=g.vertex_count,
+        min_degree=dmin,
+        edge_connectivity=lam,
+        ratio_c=c,
+        p0=visibility_threshold(float(c), 2),
+        spider_budget=budget.count,
+        leg_length_bound=budget.leg_length_bound,
+        center=center,
+        subset=verts,
+        spiders_found=len(spiders),
+        leg_lengths=leg_lengths,
+    )
+
+
+def run_partial_distillation(
+    plan: ProtocolPlan,
+    p: float,
+    target_state: PureStateVector | None = None,
+    uniform_legs: bool = False,
+    graph_id: str = "graph",
+) -> ProtocolReport:
+    """The link-visibility side of the pipeline on a plan: leg visibilities,
+    distillation and the final stage.  Links and targets are qubits; a custom
+    target_state needs one qubit per subset vertex, in sorted vertex order."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"visibility {p} outside [0, 1]")
+    m = len(plan.subset)
     if target_state is not None and target_state.dims != (2,) * m:
         raise ValueError(
             f"target state dims {target_state.dims} do not match {m} qubit parties"
         )
 
-    lam = edge_connectivity(g)
-    plan = _plan(g, verts, center, lam)
+    copies = plan.spiders_found
     uniform_bound = float(plan.leg_length_bound)
-
-    decomposition = spiders_mod.extract_spiders(g, verts, center)
-    copies = decomposition.count
     targets = []
-    for target in sorted(verts - {center}):
-        if copies > 0:
-            lengths = tuple(
-                spider.legs[target].length for spider in decomposition.spiders
-            )
-        else:
-            lengths = (shortest_path(g, center, target).length,)
+    for target, lengths in plan.leg_lengths.items():
         if uniform_legs:
-            visibilities = tuple(
-                downgrade_visibility(p, length, uniform_bound) for length in lengths
-            )
+            visibilities = tuple(downgrade_visibility(p, n, uniform_bound) for n in lengths)
         else:
-            visibilities = tuple(
-                path_teleport_visibility(p, length) for length in lengths
-            )
+            visibilities = tuple(path_teleport_visibility(p, n) for n in lengths)
         chunk = min(visibilities)  # every copy is equalized to the worst leg
-        below = False
+        distilled, consumed, below = chunk, 0, False
         if copies > 0:
             try:
                 distilled, consumed = distilled_visibility(chunk, copies)
             except BelowThresholdError:
-                distilled, consumed = chunk, 0
                 below = True
-        else:
-            distilled, consumed = chunk, 0
         targets.append(
             TargetOutcome(
                 target=target,
@@ -333,25 +329,35 @@ def simulate_partial_distillation(
     if target_state is None:
         final_fidelity = ghz_teleport_fidelity(t.distilled for t in targets)
     else:
-        position = {vertex: i for i, vertex in enumerate(sorted(verts))}
+        position = {vertex: i for i, vertex in enumerate(sorted(plan.subset))}
         final_fidelity = pure_target_fidelity(
             target_state, {position[t.target]: t.distilled for t in targets}
         )
 
     return ProtocolReport(
         graph_id=graph_id,
-        vertex_count=g.vertex_count,
         p=p,
         plan=plan,
-        spiders_found=copies,
         targets=tuple(targets),
         final_fidelity=final_fidelity,
         p_above_threshold=p > plan.p0,
-        necessary_condition_violated=lam <= 1,
-        edge_connectivity=lam,
-        min_degree=degree_stats(g).minimum,
         uniform_legs=uniform_legs,
     )
+
+
+def simulate_partial_distillation(
+    g: Graph,
+    subset: Iterable,
+    p: float,
+    center: int | None = None,
+    target_state: PureStateVector | None = None,
+    uniform_legs: bool = False,
+    graph_id: str = "graph",
+) -> ProtocolReport:
+    """Run the full pipeline on one graph at one link visibility: the plan
+    followed by the run."""
+    plan = plan_partial_distillation(g, subset, center)
+    return run_partial_distillation(plan, p, target_state, uniform_legs, graph_id)
 
 
 @dataclass(frozen=True)

@@ -84,18 +84,20 @@ def spider_guarantee(g: Graph, subset: Iterable) -> SpiderGuarantee:
     return _spider_budget(dmin, g.vertex_count, edge_connectivity(g), len(verts))
 
 
+def _leg_length_bound(dmin: int, vertex_count: int) -> Fraction:
+    """The guarantee's leg bound 5/c, with c = dmin/vertex_count."""
+    return Fraction(5 * vertex_count, dmin)
+
+
 def _spider_budget(dmin: int, vertex_count: int, lam: int, m: int) -> SpiderGuarantee:
     """The guarantee's count and leg bound, with c = dmin/vertex_count."""
     c = Fraction(dmin, vertex_count)
-    return SpiderGuarantee(int(min(Fraction(dmin), c * lam) / (5 * m)), Fraction(5, 1) / c)
+    count = int(min(Fraction(dmin), c * lam) / (5 * m))
+    return SpiderGuarantee(count, _leg_length_bound(dmin, vertex_count))
 
 
 def extract_spiders(
-    g: Graph,
-    subset: Iterable,
-    center: int,
-    max_spiders: int | None = None,
-    leg_length_bound: Fraction | float | None = None,
+    g: Graph, subset: Iterable, center: int, max_spiders: int | None = None
 ) -> SpiderDecomposition:
     """Greedy edge-disjoint spider extraction.
 
@@ -104,8 +106,8 @@ def extract_spiders(
     lexicographically smallest shortest path in the current residual graph;
     its edges are then deleted.  Legs are bundled into complete spiders;
     extraction stops when the residual graph disconnects the center from a
-    target, when a shortest path exceeds the leg-length bound, or when
-    max_spiders is reached.  Whenever the guarantee premises hold, at least
+    target, when a shortest path exceeds the guarantee's leg bound 5/c, or
+    when max_spiders is reached.  Whenever the guarantee premises hold, at least
     spider_guarantee(g, subset).count spiders are produced.
     """
     verts = _check_subset(g, subset)
@@ -115,10 +117,8 @@ def extract_spiders(
         raise ValueError(f"max_spiders {max_spiders} is negative")
     if not is_connected(g):
         raise ValueError("premise violated: graph must be connected")
-    dmin = degree_stats(g).minimum
-    if leg_length_bound is None:
-        # the guarantee's 5/c bound; never binding when dmin is 1
-        leg_length_bound = Fraction(5 * g.vertex_count, max(dmin, 1))
+    # never binding when dmin is 1
+    leg_length_bound = _leg_length_bound(degree_stats(g).minimum, g.vertex_count)
 
     base_dist = _bfs_distances(g, center)
     targets = sorted(verts - {center}, key=lambda v: (base_dist[v], v))
@@ -138,12 +138,7 @@ def extract_spiders(
             break
         spiders.append(Spider(center, legs))
 
-    bound_int = (
-        g.vertex_count - 1
-        if leg_length_bound == float("inf")
-        else int(leg_length_bound)
-    )
-    return SpiderDecomposition(g, verts, center, tuple(spiders), bound_int)
+    return SpiderDecomposition(g, verts, center, tuple(spiders), int(leg_length_bound))
 
 
 def best_center_extraction(g: Graph, subset: Iterable) -> SpiderDecomposition:

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 
+import isonet.protocol
+import isonet.spiders
 from isonet import __version__
 from isonet.cli import main
 
@@ -174,6 +178,44 @@ def test_protocol_beyond_twelve_parties(capsys):
         assert abs(float(printed) - (0.5 * coherence + 0.5 * population)) <= 1e-9
 
 
+def test_protocol_sweep_builds_the_graph_side_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(isonet.protocol, "edge_connectivity")
+    count(isonet.spiders, "extract_spiders")
+    code, _, err = run_cli(
+        capsys,
+        "protocol", "--family", "complete", "--n", "30", "--subset", "0,1,2",
+        "--p", "0.9,0.95,0.99",
+    )
+    assert code == 0, err
+    assert calls == {"edge_connectivity": 1, "extract_spiders": 1}
+
+
+@pytest.mark.parametrize("extra", [(), ("--uniform-legs",)])
+def test_protocol_sweep_rows_match_single_runs(extra, capsys):
+    base = ("protocol", "--family", "complete", "--n", "30", "--subset", "0,1,2", *extra)
+    p_values = ["0.9", "0.95", "0.99"]
+    code, out, err = run_cli(capsys, *base, "--p", ",".join(p_values))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[4:]]
+    assert [row[3] for row in rows] == p_values
+    for p, row in zip(p_values, rows):
+        code, single, err = run_cli(capsys, *base, "--p", p)
+        assert code == 0, err
+        keys = ("spiders_found", "p_prime_min", "fidelity")
+        assert row[7:] == [_fields(single, key)[0] for key in keys]
+
+
 def test_protocol_sparse_cycle_saturates_threshold(capsys):
     base = [
         "protocol", "--family", "cycle", "--n", "420", "--subset", "0,100", "--p", "0.99",
@@ -249,6 +291,10 @@ def test_verify_rejects_tolerance_scale(tol, capsys):
         ("ppt-scan", "--n", "5:6", "--p", ","),
         ("ppt-scan", "--n", ",", "--p", "0.9"),
         ("spider", "--family", "complete", "--n", "8", "--subset", "0,3", "--max-spiders", "-2"),
+        (
+            "spider", "--family", "grid", "--n", "5", "--k", "2", "--subset", "0,24",
+            "--method", "grid", "--max-spiders", "1",
+        ),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,16 +15,22 @@ from isonet import (
     connectivity_growth_scan,
     cycle_graph,
     default_center,
+    degree_stats,
+    distance,
     distilled_visibility,
     downgrade_visibility,
+    edge_connectivity,
+    extract_spiders,
     fidelity_from_visibility,
     ghz,
     ghz_teleport_fidelity,
     grid_graph,
     path_teleport_visibility,
+    plan_partial_distillation,
     pure_target_fidelity,
     random_tree,
     recurrence_step,
+    run_partial_distillation,
     simulate_partial_distillation,
     star_graph,
     visibility_from_fidelity,
@@ -186,6 +193,40 @@ def test_simulation_plan_quantities():
     assert report.plan.spider_budget == 4
     assert float(report.plan.leg_length_bound) == pytest.approx(5.1)
     assert report.p_above_threshold == (0.99 > report.plan.p0)
+
+
+def test_plan_holds_the_graph_side():
+    g = complete_graph(12)
+    plan = plan_partial_distillation(g, (7, 3, 0))
+    dmin = degree_stats(g).minimum
+    assert (plan.vertex_count, plan.min_degree) == (12, dmin)
+    assert plan.edge_connectivity == edge_connectivity(g)
+    assert plan.ratio_c == Fraction(dmin, 12)
+    assert plan.leg_length_bound == Fraction(5 * 12, dmin)
+    dec = extract_spiders(g, (0, 3, 7), plan.center)
+    assert plan.spiders_found == dec.count > 0
+    assert plan.leg_lengths == {
+        t: tuple(spider.legs[t].length for spider in dec.spiders) for t in (3, 7)
+    }
+    assert list(plan.leg_lengths) == [3, 7]
+    report = run_partial_distillation(plan, 0.95)
+    assert report.spiders_found == dec.count
+    assert report.edge_connectivity == plan.edge_connectivity
+    assert not report.necessary_condition_violated
+
+
+def test_plan_falls_back_to_one_shortest_path_per_target():
+    g = random_tree(10, seed=3)
+    plan = plan_partial_distillation(g, (0, 1, 2))
+    assert plan.spiders_found == 0
+    assert plan.edge_connectivity == edge_connectivity(g) == 1
+    assert plan.min_degree == degree_stats(g).minimum == 1
+    assert plan.leg_lengths == {
+        t: (distance(g, plan.center, t),) for t in sorted({0, 1, 2} - {plan.center})
+    }
+    report = run_partial_distillation(plan, 0.9)
+    assert report.necessary_condition_violated
+    assert all(t.copies == 0 for t in report.targets)
 
 
 def test_simulation_input_validation():
