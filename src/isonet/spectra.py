@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -117,7 +117,17 @@ def _mixed_term(n: int, p: float, w: int) -> float:
     log_minus = math.log1p(-p)
     first = (n - w) * log_plus + w * log_minus - (n + 1) * _LOG2
     second = (n - w) * log_minus + w * log_plus - (n + 1) * _LOG2
-    return float(np.exp(np.logaddexp(first, second)))
+    # np.exp, not math.exp: numpy's SIMD exp can differ from libm's in the
+    # last ulp, and the printed min_eigenvalue digits come from this value
+    return float(np.exp(_logaddexp(first, second)))
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) by numpy's own formula, so it equals np.logaddexp."""
+    if x == y:
+        return x + _LOG2
+    high, low = (x, y) if x > y else (y, x)
+    return high + math.log1p(math.exp(low - high))
 
 
 def partial_transpose_eigenvalue(idx: SpectrumIndex, p: float) -> float:
@@ -162,17 +172,29 @@ def is_ppt_teleported_ghz(n: int, p: float, parties: Iterable[int]) -> bool:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"visibility {p} outside (0, 1]")
     subset = normalize_bipartition(n, parties)
-    return _critical_sign_nonnegative(n, p, len(subset))
-
-
-def _critical_sign_nonnegative(n: int, p: float, w: int) -> bool:
-    # sign of the (r, -) eigenvalue: -1 + ((1+p)/2p)^n ((1-p)/(1+p))^w
-    #                                   + ((1-p)/2p)^n ((1+p)/(1-p))^w  >= 0
     if p == 1.0:
         return False  # eigenvalue -1/2: the perfect GHZ state is NPT
-    log_a = n * math.log((1 + p) / (2 * p)) + w * math.log((1 - p) / (1 + p))
-    log_b = n * math.log((1 - p) / (2 * p)) + w * math.log((1 + p) / (1 - p))
-    return bool(np.logaddexp(log_a, log_b) >= 0.0)
+    return _ppt_sign_test(p, len(subset))(n)
+
+
+def _ppt_sign_test(p: float, w: int) -> Callable[[int], bool]:
+    """Sign test of the (r, -) eigenvalue for a cut of size w, as a function of n.
+
+    The eigenvalue is nonnegative exactly when
+    ((1+p)/2p)^n ((1-p)/(1+p))^w + ((1-p)/2p)^n ((1+p)/(1-p))^w >= 1;
+    both exponents are affine in n, so their logarithms are taken once per
+    (p, w) and each n costs two multiply-adds and one log-add-exp.  Needs
+    0 < p < 1.
+    """
+    a_slope = math.log((1 + p) / (2 * p))
+    a_shift = w * math.log((1 - p) / (1 + p))
+    b_slope = math.log((1 - p) / (2 * p))
+    b_shift = w * math.log((1 + p) / (1 - p))
+
+    def nonnegative(n: int) -> bool:
+        return _logaddexp(n * a_slope + a_shift, n * b_slope + b_shift) >= 0.0
+
+    return nonnegative
 
 
 def ppt_crossover(p: float, w: int) -> int:
@@ -180,14 +202,15 @@ def ppt_crossover(p: float, w: int) -> int:
 
     For a bipartition of fixed size w and visibility p < 1, scans n upward
     from w+1 using the closed form and returns the first n whose critical
-    eigenvalue is nonnegative.
+    eigenvalue is nonnegative; the scan is linear in the returned n.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"visibility {p} outside (0, 1); the crossover needs p < 1")
     if w < 1:
         raise ValueError("bipartition size must be at least 1")
+    nonnegative = _ppt_sign_test(p, w)
     n = w + 1
-    while not _critical_sign_nonnegative(n, p, w):
+    while not nonnegative(n):
         n += 1
     return n
 

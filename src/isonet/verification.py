@@ -56,6 +56,7 @@ from .hilbert import (
 from .spectra import (
     SpectrumIndex,
     _mixed_term,
+    _ppt_sign_test,
     is_ppt_teleported_ghz,
     min_eigenvalue_teleported_ghz,
     noise_overlap_closed,
@@ -130,6 +131,24 @@ def _class_scan_min_eigenvalues(n: int, p: float, cut_sizes) -> dict[int, float]
                 smallest = min(smallest, base)
         minima[w_r] = smallest
     return minima
+
+
+def _per_call_sign_nonnegative(n: int, p: float, w: int) -> bool:
+    """Oracle twin of spectra._ppt_sign_test: the four logarithms and numpy's
+    logaddexp recomputed for every n."""
+    # sign of the (r, -) eigenvalue: -1 + ((1+p)/2p)^n ((1-p)/(1+p))^w
+    #                                   + ((1-p)/2p)^n ((1+p)/(1-p))^w  >= 0
+    log_a = n * math.log((1 + p) / (2 * p)) + w * math.log((1 - p) / (1 + p))
+    log_b = n * math.log((1 - p) / (2 * p)) + w * math.log((1 + p) / (1 - p))
+    return bool(np.logaddexp(log_a, log_b) >= 0.0)
+
+
+def _per_call_crossover(p: float, w: int) -> int:
+    """First n >= w+1 at which the per-call twin turns nonnegative."""
+    n = w + 1
+    while not _per_call_sign_nonnegative(n, p, w):
+        n += 1
+    return n
 
 
 def _relative_gap(a: float, b: float) -> float:
@@ -363,6 +382,52 @@ def check_ppt_crossover(seed, tol_scale, fault) -> CheckResult:
                     "ppt-crossover", False, f"p={p} w={w}: PPT already at n0-1={n0 - 1}"
                 )
     return CheckResult("ppt-crossover", True, "anchor 55 and exact boundaries")
+
+
+def check_ppt_sign_test(seed, tol_scale, fault) -> CheckResult:
+    rng = random.Random(seed + 6)
+    compared = 0
+
+    def mismatch(p, w, ns):
+        nonlocal compared
+        test = _ppt_sign_test(p, w)
+        for n in ns:
+            compared += 1
+            fast, twin = test(n), _per_call_sign_nonnegative(n, p * (1 - fault), w)
+            if fast != twin:
+                return f"p={p!r} w={w} n={n}: sign test {fast}, per-call twin {twin}"
+        return None
+
+    # every n of a band above w and, up to p = 0.999 where the twin's own
+    # scan stays cheap, the crossover and its neighbours on both sides
+    for p in (1e-9, 0.1, 1 / 3, 0.34, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999):
+        for w in range(1, 7):
+            ns = [*range(w + 1, w + 301)]
+            if p <= 0.999:
+                n0, scanned = ppt_crossover(p, w), _per_call_crossover(p * (1 - fault), w)
+                if n0 != scanned:
+                    return CheckResult(
+                        "ppt-sign-test",
+                        False,
+                        f"p={p!r} w={w}: ppt_crossover {n0}, per-call scan {scanned}",
+                    )
+                ns += range(max(w + 1, n0 - 3), n0 + 4)
+            failure = mismatch(p, w, ns)
+            if failure:
+                return CheckResult("ppt-sign-test", False, failure)
+    for _ in range(300):
+        p = rng.choice([rng.uniform(1e-9, 1.0 - 1e-9), 1.0 - 10 ** rng.uniform(-6, -1)])
+        w = rng.randint(1, 8)
+        failure = mismatch(p, w, [rng.randint(w + 1, 10 ** rng.randint(2, 7))])
+        if failure:
+            return CheckResult("ppt-sign-test", False, failure)
+    return CheckResult(
+        "ppt-sign-test",
+        True,
+        f"{compared} (p, w, n): 10 visibilities x w = 1..6 over n = w+1..w+300 and "
+        "n0 +- 3, 300 random up to n = 1e7; crossover equals the per-call scan "
+        "up to p = 0.999; exact",
+    )
 
 
 def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> CheckResult:
@@ -799,6 +864,7 @@ CHECKS = {
     "min-eigenvalue-closed-form": ("spectra", check_min_eigenvalue_closed_form),
     "edge-connectivity-reduction": ("graphs", check_edge_connectivity_reduction),
     "diameter-all-sources": ("graphs", check_diameter_all_sources),
+    "ppt-sign-test": ("spectra", check_ppt_sign_test),
 }
 
 

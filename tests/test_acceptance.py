@@ -14,6 +14,7 @@ _TIMED = {
     "noise-overlap-forms": 60.0,
     "menger-duality": 60.0,
     "protocol-fidelity-closed-form": 30.0,
+    "ppt-sign-test": 30.0,
 }
 
 
@@ -91,3 +92,7 @@ def test_c15_edge_connectivity_reduction_matches_all_targets():
 
 def test_c16_diameter_all_sources_matches_per_source_bfs():
     _run("diameter-all-sources", "16")
+
+
+def test_c17_ppt_sign_test_matches_per_call_twin():
+    _run("ppt-sign-test", "17")

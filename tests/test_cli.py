@@ -105,6 +105,19 @@ def test_ppt_scan_crossover_column(capsys):
     assert table[56][2] == "0"
 
 
+def test_ppt_scan_flags_a_crossover_of_millions(capsys):
+    code, out, _ = run_cli(
+        capsys, "ppt-scan", "--n", "2441195:2441197", "--p", "0.99999", "--w", "1"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[4:]]
+    assert {int(r[0]): (r[4], r[5]) for r in rows} == {
+        2441195: ("0", "0"),
+        2441196: ("1", "1"),
+        2441197: ("1", "0"),
+    }
+
+
 def test_ppt_scan_rejects_unit_visibility(capsys):
     code, _, err = run_cli(capsys, "ppt-scan", "--n", "2:5", "--p", "1.0")
     assert code == 2

@@ -21,11 +21,13 @@ from isonet import (
 )
 from isonet.channels import depolarized_ghz_component, teleported_ghz_closed_form
 from isonet.spectra import (
+    _logaddexp,
+    _ppt_sign_test,
     noise_overlap_direct,
     spectrum_trace_by_weight,
     teleported_ghz_spectrum,
 )
-from isonet.verification import _class_scan_min_eigenvalues
+from isonet.verification import _class_scan_min_eigenvalues, _per_call_sign_nonnegative
 
 # visibilities in (0, 1], with the perfect and the near-perfect links pinned
 _visibilities = st.one_of(
@@ -195,6 +197,31 @@ def test_perfect_ghz_is_npt_everywhere():
     for n in (2, 4, 6):
         for w in range(1, n):
             assert not is_ppt_teleported_ghz(n, 1.0, tuple(range(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(
+        st.sampled_from([1 / 3, 0.9999, 1e-9]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ),
+    w=st.integers(1, 8),
+    data=st.data(),
+)
+def test_sign_test_equals_per_call_twin(p, w, data):
+    n = data.draw(st.integers(w + 1, 10**7))
+    assert _ppt_sign_test(p, w)(n) == _per_call_sign_nonnegative(n, p, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.floats(-1e4, 1e4),
+    y=st.floats(-1e4, 1e4),
+    gap=st.floats(800.0, 1e4),  # exp(-gap) underflows to 0
+)
+def test_logaddexp_equals_numpy(x, y, gap):
+    for a, b in ((x, y), (y, x), (x, x), (x, x + gap), (x + gap, x)):
+        assert _logaddexp(a, b) == float(np.logaddexp(a, b)), (a, b)
 
 
 def test_crossover_anchor_and_boundaries():
