@@ -9,6 +9,7 @@ configuration, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__, verification
@@ -23,7 +24,12 @@ from .graphs import (
     read_edge_list,
 )
 from .protocol import default_center, plan_partial_distillation, run_partial_distillation
-from .spectra import is_ppt_teleported_ghz, min_eigenvalue_teleported_ghz, ppt_crossover
+from .spectra import (
+    is_ppt_teleported_ghz,
+    min_eigenvalue_log,
+    min_eigenvalue_teleported_ghz,
+    ppt_crossover,
+)
 from .spiders import decomposition_lines, extract_spiders, grid_spiders, spider_guarantee
 
 
@@ -36,6 +42,24 @@ def _fmt(value) -> str:
             return "inf"
         return f"{value:.12g}"
     return str(value)
+
+
+def _fmt_min_eigenvalue(n: int, p: float, cut) -> str:
+    """_fmt of the minimum eigenvalue, unless it underflows to 0: then its
+    sign and 12 significant digits with a decimal exponent, from log10|value|
+    (float() of that text still reads 0.0)."""
+    value = min_eigenvalue_teleported_ghz(n, p, cut)
+    if value != 0.0:
+        return _fmt(value)
+    sign, log_abs = min_eigenvalue_log(n, p, cut)
+    if sign == 0:
+        return _fmt(value)
+    log10_abs = log_abs / math.log(10.0)
+    exponent = math.floor(log10_abs)
+    # the mantissa may round up to 10, which moves the exponent by one
+    digits, _, carry = f"{10.0 ** (log10_abs - exponent):.11e}".partition("e")
+    digits = digits.rstrip("0").rstrip(".")
+    return f"{'-' if sign < 0 else ''}{digits}e{exponent + int(carry):+03d}"
 
 
 def _header(args: argparse.Namespace) -> list[str]:
@@ -179,7 +203,7 @@ def cmd_ppt_scan(args) -> int:
                 _fmt(n),
                 _fmt(p),
                 _fmt(w),
-                _fmt(min_eigenvalue_teleported_ghz(n, p, cut)),
+                _fmt_min_eigenvalue(n, p, cut),
                 _fmt(is_ppt_teleported_ghz(n, p, cut)),
                 _fmt(n == crossovers[p]),
             ]

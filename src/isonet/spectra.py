@@ -113,13 +113,18 @@ def _mixed_term(n: int, p: float, w: int) -> float:
     """[(1+p)^(n-w)(1-p)^w + (1-p)^(n-w)(1+p)^w] / 2^(n+1), in log space."""
     if p == 1.0:
         return 0.5 if w == 0 else 0.0
+    # np.exp, not math.exp: numpy's SIMD exp can differ from libm's in the
+    # last ulp, and the printed min_eigenvalue digits come from this value
+    return float(np.exp(_log_mixed_term(n, p, w)))
+
+
+def _log_mixed_term(n: int, p: float, w: int) -> float:
+    """Natural logarithm of the mixed term; needs 0 <= p < 1."""
     log_plus = math.log1p(p)
     log_minus = math.log1p(-p)
     first = (n - w) * log_plus + w * log_minus - (n + 1) * _LOG2
     second = (n - w) * log_minus + w * log_plus - (n + 1) * _LOG2
-    # np.exp, not math.exp: numpy's SIMD exp can differ from libm's in the
-    # last ulp, and the printed min_eigenvalue digits come from this value
-    return float(np.exp(_logaddexp(first, second)))
+    return _logaddexp(first, second)
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -163,6 +168,27 @@ def min_eigenvalue_teleported_ghz(n: int, p: float, parties: Iterable[int]) -> f
     return min(_mixed_term(n, p, w_r) - p**n / 2, _mixed_term(n, p, n // 2))
 
 
+def min_eigenvalue_log(n: int, p: float, parties: Iterable[int]) -> tuple[int, float]:
+    """Sign and natural logarithm of the smallest eigenvalue's magnitude.
+
+    The two candidates of min_eigenvalue_teleported_ghz kept in log space,
+    for qubit counts at which the float minimum underflows to 0: (r, -) =
+    mixed(w_r) - p^n/2 as a difference of two exponentials, and
+    mixed(n // 2).  An exact zero gives (0, -inf).  Needs 0 < p < 1.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"visibility {p} outside (0, 1)")
+    mixed = _log_mixed_term(n, p, len(normalize_bipartition(n, parties)))
+    shift = n * math.log(p) - _LOG2
+    if mixed == shift:
+        return 0, -math.inf
+    high, low = (mixed, shift) if mixed > shift else (shift, mixed)
+    log_critical = high + math.log1p(-math.exp(low - high))
+    if mixed < shift:
+        return -1, log_critical
+    return 1, min(log_critical, _log_mixed_term(n, p, n // 2))
+
+
 def is_ppt_teleported_ghz(n: int, p: float, parties: Iterable[int]) -> bool:
     """PPT test for the teleported GHZ state across the given bipartition.
 
@@ -200,19 +226,43 @@ def _ppt_sign_test(p: float, w: int) -> Callable[[int], bool]:
 def ppt_crossover(p: float, w: int) -> int:
     """Smallest qubit count at which the teleported GHZ state turns PPT.
 
-    For a bipartition of fixed size w and visibility p < 1, scans n upward
-    from w+1 using the closed form and returns the first n whose critical
-    eigenvalue is nonnegative; the scan is linear in the returned n.
+    For a bipartition of fixed size w and visibility p < 1, returns the
+    first n >= w+1 whose critical eigenvalue is nonnegative, by an
+    unbounded search on the one sign test (Bentley & Yao 1976).
+
+    The (r, -) eigenvalue is nonnegative exactly when
+    f(n) = e^(a n + alpha) + e^(b n + beta) >= 1 (see _ppt_sign_test).  As a
+    sum of two exponentials of affine functions, f is convex in n, so
+    {n : f(n) < 1} is an interval; a = log((1+p)/2p) > 0 for p < 1, so f
+    grows without bound and that interval ends.  Hence, if the test fails at
+    w+1, it fails on every n from w+1 to n0-1 and passes from n0 on.  The
+    search tries w+1, then gallops over w+1+1, w+1+2, w+1+4, ... until the
+    test passes, and bisects between the last failing and the first passing
+    n.  With K = ceil(log2(n0-w-1)), it takes 1 + (K+1) + (K-1) = 2K+1
+    evaluations when n0 > w+2 (one or two otherwise): about
+    2 log2(n0-w) + 1, e.g. 73 for n0(0.999999999, 1) = 42,832,822,558.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"visibility {p} outside (0, 1); the crossover needs p < 1")
     if w < 1:
         raise ValueError("bipartition size must be at least 1")
     nonnegative = _ppt_sign_test(p, w)
-    n = w + 1
-    while not nonnegative(n):
-        n += 1
-    return n
+    start = w + 1
+    if nonnegative(start):
+        return start
+    failing, step = start, 1
+    while not nonnegative(start + step):
+        failing = start + step
+        step *= 2
+    passing = start + step
+    # invariant: the test fails at `failing` and passes at `passing`
+    while passing - failing > 1:
+        middle = (failing + passing) // 2
+        if nonnegative(middle):
+            passing = middle
+        else:
+            failing = middle
+    return passing
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,16 @@ def _per_call_sign_nonnegative(n: int, p: float, w: int) -> bool:
     return bool(np.logaddexp(log_a, log_b) >= 0.0)
 
 
+def _linear_crossover(p: float, w: int) -> int:
+    """Oracle twin of spectra.ppt_crossover: the first n >= w+1 at which the
+    sign test passes, found by trying every n in turn."""
+    nonnegative = _ppt_sign_test(p, w)
+    n = w + 1
+    while not nonnegative(n):
+        n += 1
+    return n
+
+
 def _per_call_crossover(p: float, w: int) -> int:
     """First n >= w+1 at which the per-call twin turns nonnegative."""
     n = w + 1
@@ -362,9 +372,16 @@ def check_ptranspose_spectrum(seed, tol_scale, fault) -> CheckResult:
 
 
 def check_ppt_crossover(seed, tol_scale, fault) -> CheckResult:
-    anchor = ppt_crossover(0.9, 1)
-    if anchor != 55:
-        return CheckResult("ppt-crossover", False, f"crossover(0.9, 1) = {anchor}, expected 55")
+    # each anchor by the search and by the linear twin (at p(1 - fault), which
+    # moves the 0.9999 anchor by thousands)
+    for p, expected in ((0.9, 55), (0.9999, 198054)):
+        anchor, scanned = ppt_crossover(p, 1), _linear_crossover(p * (1 - fault), 1)
+        if anchor != expected or scanned != expected:
+            return CheckResult(
+                "ppt-crossover",
+                False,
+                f"crossover({p}, 1) = {anchor}, linear scan {scanned}, expected {expected}",
+            )
     for p in (0.5, 0.7, 0.9):
         for w in (1, 2):
             cut = tuple(range(w))
@@ -381,7 +398,7 @@ def check_ppt_crossover(seed, tol_scale, fault) -> CheckResult:
                 return CheckResult(
                     "ppt-crossover", False, f"p={p} w={w}: PPT already at n0-1={n0 - 1}"
                 )
-    return CheckResult("ppt-crossover", True, "anchor 55 and exact boundaries")
+    return CheckResult("ppt-crossover", True, "anchors 55 and 198054 and exact boundaries")
 
 
 def check_ppt_sign_test(seed, tol_scale, fault) -> CheckResult:
@@ -427,6 +444,39 @@ def check_ppt_sign_test(seed, tol_scale, fault) -> CheckResult:
         f"{compared} (p, w, n): 10 visibilities x w = 1..6 over n = w+1..w+300 and "
         "n0 +- 3, 300 random up to n = 1e7; crossover equals the per-call scan "
         "up to p = 0.999; exact",
+    )
+
+
+def check_ppt_crossover_gallop(seed, tol_scale, fault) -> CheckResult:
+    name = "ppt-crossover-gallop"
+    rng = random.Random(seed + 7)
+    # the search against the linear twin, exactly, where the twin stays cheap
+    # (p <= 1/3 gives n0 = w+1; p = 0.9999 scans up to n0 = 1.6e6)
+    grid = (1e-9, 0.1, 0.2, 1 / 3, 0.34, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 0.9999)
+    pairs = [(p, w) for p in grid for w in range(1, 9)]
+    pairs += [(rng.uniform(1e-9, 0.999), rng.randint(1, 8)) for _ in range(200)]
+    for p, w in pairs:
+        n0, scanned = ppt_crossover(p, w), _linear_crossover(p * (1 - fault), w)
+        if n0 != scanned:
+            return CheckResult(
+                name, False, f"p={p!r} w={w}: ppt_crossover {n0}, linear scan {scanned}"
+            )
+    # beyond the twin's reach, up to p = 1 - 1e-12: the boundary alone
+    high = [1 - 10.0**-k for k in range(5, 13)]
+    high += [1 - 10 ** rng.uniform(-12, -4) for _ in range(40)]
+    for p in high:
+        for w in range(1, 9):
+            n0 = ppt_crossover(p, w)
+            nonnegative = _ppt_sign_test(p * (1 - fault), w)
+            if (n0 - 1 > w and nonnegative(n0 - 1)) or not nonnegative(n0):
+                return CheckResult(
+                    name, False, f"p={p!r} w={w}: sign test not switching at n0={n0}"
+                )
+    return CheckResult(
+        name,
+        True,
+        f"{len(pairs)} (p, w) up to p = 0.9999 equal the linear scan; "
+        f"{8 * len(high)} up to p = 1 - 1e-12 fail at n0-1 and pass at n0",
     )
 
 
@@ -865,6 +915,7 @@ CHECKS = {
     "edge-connectivity-reduction": ("graphs", check_edge_connectivity_reduction),
     "diameter-all-sources": ("graphs", check_diameter_all_sources),
     "ppt-sign-test": ("spectra", check_ppt_sign_test),
+    "ppt-crossover-gallop": ("spectra", check_ppt_crossover_gallop),
 }
 
 

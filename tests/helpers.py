@@ -1,4 +1,6 @@
-"""Shared random-object constructors for the test suite."""
+"""Shared random-object constructors and exact references for the test suite."""
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -22,3 +24,18 @@ def random_unitary(d, rng) -> np.ndarray:
     ginibre = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(ginibre)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def exact_min_eigenvalue(n: int, p: float, w: int) -> Decimal:
+    """Smallest eigenvalue of the partially transposed teleported GHZ state
+    across a cut of size w, in 60-digit decimal arithmetic at the exact value
+    of the float p: min(mixed(w) - p^n/2, mixed(n // 2))."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact_p, one = Decimal(p), Decimal(1)
+
+        def mixed(k):
+            plus, minus = one + exact_p, one - exact_p
+            return (plus ** (n - k) * minus**k + minus ** (n - k) * plus**k) / 2 ** (n + 1)
+
+        return min(mixed(w) - exact_p**n / 2, mixed(n // 2))

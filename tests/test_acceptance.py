@@ -15,12 +15,15 @@ _TIMED = {
     "menger-duality": 60.0,
     "protocol-fidelity-closed-form": 30.0,
     "ppt-sign-test": 30.0,
+    "ppt-crossover-gallop": 30.0,
 }
 
 
 def _run(name: str, label: str):
+    # the check itself, not the filter: "ppt-crossover" also matches c18
+    _, check = verification.CHECKS[name]
     start = time.perf_counter()
-    (result,) = verification.run_checks(name_filter=name)
+    result = check(verification.DEFAULT_SEED, 1.0, 0.0)
     elapsed = time.perf_counter() - start
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {label}: {result.name} ({elapsed:.1f}s) {result.detail}")
@@ -96,3 +99,7 @@ def test_c16_diameter_all_sources_matches_per_source_bfs():
 
 def test_c17_ppt_sign_test_matches_per_call_twin():
     _run("ppt-sign-test", "17")
+
+
+def test_c18_ppt_crossover_gallop_matches_linear_scan():
+    _run("ppt-crossover-gallop", "18")

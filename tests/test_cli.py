@@ -1,11 +1,15 @@
+import time
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
 import isonet.protocol
 import isonet.spiders
+from helpers import exact_min_eigenvalue
 from isonet import __version__
 from isonet.cli import main
+from isonet.spectra import _ppt_sign_test
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +120,34 @@ def test_ppt_scan_flags_a_crossover_of_millions(capsys):
         2441196: ("1", "1"),
         2441197: ("1", "0"),
     }
+
+
+def test_ppt_scan_flags_a_crossover_of_billions_at_once(capsys):
+    p, n0 = 0.999999999, 42832822558
+    nonnegative = _ppt_sign_test(p, 1)
+    assert not nonnegative(n0 - 1) and nonnegative(n0)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "ppt-scan", "--n", f"{n0 - 1},{n0}", "--p", str(p), "--w", "1")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[4:]]
+    assert {int(r[0]): (r[4], r[5]) for r in rows} == {n0 - 1: ("0", "0"), n0: ("1", "1")}
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "scan, w, n", [("700,800", 1, 700), ("700,800", 1, 800), ("748:808", 4, 777)]
+)
+def test_ppt_scan_reports_an_underflowing_minimum(scan, w, n, capsys):
+    code, out, _ = run_cli(capsys, "ppt-scan", "--n", scan, "--p", "0.9", "--w", str(w))
+    assert code == 0
+    rows = {int(r[0]): r for r in (line.split(",") for line in out.strip().splitlines()[4:])}
+    text = rows[n][3]
+    assert float(text) == 0.0 and text != "0"
+    exact = exact_min_eigenvalue(n, 0.9, w)
+    # 12 significant digits: the rounding alone may cost up to 5e-12
+    assert abs(Decimal(text) - exact) <= Decimal("1e-11") * abs(exact)
+    assert rows[n][4:] == ["1", "0"]
 
 
 def test_ppt_scan_rejects_unit_visibility(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import exact_min_eigenvalue
 from isonet import (
     SpectrumIndex,
     bipartition_r_index,
@@ -20,14 +21,20 @@ from isonet import (
     ppt_crossover,
 )
 from isonet.channels import depolarized_ghz_component, teleported_ghz_closed_form
+import isonet.spectra
 from isonet.spectra import (
     _logaddexp,
     _ppt_sign_test,
+    min_eigenvalue_log,
     noise_overlap_direct,
     spectrum_trace_by_weight,
     teleported_ghz_spectrum,
 )
-from isonet.verification import _class_scan_min_eigenvalues, _per_call_sign_nonnegative
+from isonet.verification import (
+    _class_scan_min_eigenvalues,
+    _linear_crossover,
+    _per_call_sign_nonnegative,
+)
 
 # visibilities in (0, 1], with the perfect and the near-perfect links pinned
 _visibilities = st.one_of(
@@ -236,6 +243,57 @@ def test_crossover_anchor_and_boundaries():
         ppt_crossover(1.0, 1)
     with pytest.raises(ValueError):
         ppt_crossover(0.9, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(
+        st.sampled_from([1 / 3, 1e-9, 0.999]),
+        st.floats(min_value=0.0, max_value=0.999, exclude_min=True),
+    ),
+    w=st.integers(1, 8),
+)
+def test_crossover_equals_linear_scan(p, w):
+    assert ppt_crossover(p, w) == _linear_crossover(p, w)
+
+
+@pytest.mark.parametrize(
+    "p, w, n0",
+    [(0.2, 3, 4), (0.9, 1, 55), (0.9999, 1, 198054), (0.999999999, 1, 42832822558)],
+)
+def test_crossover_takes_logarithmically_many_sign_tests(monkeypatch, p, w, n0):
+    tested = []
+    build = isonet.spectra._ppt_sign_test
+
+    def recording(p, w):
+        nonnegative = build(p, w)
+
+        def test(n):
+            tested.append(n)
+            return nonnegative(n)
+
+        return test
+
+    monkeypatch.setattr(isonet.spectra, "_ppt_sign_test", recording)
+    assert ppt_crossover(p, w) == n0
+    if n0 == w + 1:
+        assert tested == [w + 1]
+    else:  # w+1, the gallop up to w+1+2^K >= n0, then K-1 bisections
+        k = math.ceil(math.log2(n0 - w - 1))
+        assert len(tested) == 2 * k + 1
+        assert tested[: k + 2] == [w + 1] + [w + 1 + 2**i for i in range(k + 1)]
+
+
+@pytest.mark.parametrize(
+    "n, p, w",
+    [(700, 0.9, 1), (800, 0.9, 1), (777, 0.9, 4), (1100, 0.5, 550), (1500, 0.5, 700)],
+)
+def test_min_eigenvalue_log_matches_exact_decimal_where_the_float_underflows(n, p, w):
+    assert min_eigenvalue_teleported_ghz(n, p, range(w)) == 0.0
+    sign, log_abs = min_eigenvalue_log(n, p, range(w))
+    exact = exact_min_eigenvalue(n, p, w)
+    assert sign == (1 if exact > 0 else -1)
+    assert math.isclose(log_abs, float(abs(exact).ln()), rel_tol=1e-14, abs_tol=0.0)
 
 
 def test_crossover_monotone_in_cut_size_and_visibility():
