@@ -8,87 +8,54 @@ brute-force oracles for everything at desk scale.
 
 __version__ = "0.1.0"
 
-from .channels import apply_noisy_teleport, path_teleport_visibility
-from .graphs import (
-    GRAPH_FAMILIES,
-    INFINITE,
-    DegreeStats,
-    Graph,
-    GridGraphSpec,
-    PathInGraph,
-    complete_graph,
-    cycle_graph,
-    degree_stats,
-    diameter,
-    distance,
-    edge_connectivity,
-    generate,
-    grid_graph,
-    is_connected,
-    max_edge_disjoint_paths,
-    path_graph,
-    random_tree,
-    read_edge_list,
-    remove_path_edges,
-    shortest_path,
-    star_graph,
-    write_edge_list,
-)
-from .hilbert import (
-    ATOL_INVARIANT,
-    ATOL_PSD,
-    MAX_DENSE_DIM,
-    CapacityError,
-    DensityOperator,
-    PureStateVector,
-    fidelity,
-    ghz,
-    ghz_basis,
-    is_ppt,
-    isotropic,
-    max_entangled,
-    partial_trace,
-    partial_transpose,
-    tensor,
-)
-from .protocol import (
-    BelowThresholdError,
-    GrowthScan,
-    ProtocolPlan,
-    ProtocolReport,
-    TargetOutcome,
-    connectivity_growth_scan,
-    default_center,
-    distilled_visibility,
-    downgrade_visibility,
-    fidelity_from_visibility,
-    ghz_teleport_fidelity,
-    plan_partial_distillation,
-    pure_target_fidelity,
-    recurrence_step,
-    run_partial_distillation,
-    simulate_partial_distillation,
-    visibility_from_fidelity,
-    visibility_threshold,
-)
-from .spectra import (
-    SpectrumIndex,
-    bipartition_r_index,
-    is_ppt_teleported_ghz,
-    min_eigenvalue_teleported_ghz,
-    noise_overlap_closed,
-    normalize_bipartition,
-    partial_transpose_eigenvalue,
-    ppt_crossover,
-)
-from .spiders import (
-    Spider,
-    SpiderDecomposition,
-    SpiderValidation,
-    best_center_extraction,
-    decomposition_lines,
-    extract_spiders,
-    grid_spiders,
-    spider_guarantee,
-    validate_spiders,
-)
+import importlib
+
+# Re-exported names by module, imported on first access (PEP 562), so that
+# `import isonet.cli` loads numpy only for the commands that use it
+_EXPORTS = {
+    "channels": (
+        "apply_noisy_teleport", "path_teleport_visibility",
+    ),
+    "graphs": (
+        "GRAPH_FAMILIES", "INFINITE", "DegreeStats", "Graph", "GridGraphSpec",
+        "PathInGraph", "complete_graph", "cycle_graph", "degree_stats", "diameter",
+        "distance", "edge_connectivity", "generate", "grid_graph", "is_connected",
+        "max_edge_disjoint_paths", "path_graph", "random_tree", "read_edge_list",
+        "shortest_path", "star_graph", "write_edge_list",
+    ),
+    "hilbert": (
+        "ATOL_INVARIANT", "ATOL_PSD", "MAX_DENSE_DIM", "CapacityError",
+        "DensityOperator", "PureStateVector", "fidelity", "ghz", "ghz_basis", "is_ppt",
+        "isotropic", "max_entangled", "partial_trace", "partial_transpose", "tensor",
+    ),
+    "protocol": (
+        "BelowThresholdError", "GrowthScan", "ProtocolPlan", "ProtocolReport",
+        "TargetOutcome", "connectivity_growth_scan", "default_center",
+        "distilled_visibility", "downgrade_visibility", "fidelity_from_visibility",
+        "ghz_teleport_fidelity", "plan_partial_distillation", "pure_target_fidelity",
+        "recurrence_step", "run_partial_distillation", "simulate_partial_distillation",
+        "visibility_from_fidelity", "visibility_threshold",
+    ),
+    "spectra": (
+        "SpectrumIndex", "bipartition_r_index", "is_ppt_teleported_ghz",
+        "min_eigenvalue_teleported_ghz", "noise_overlap_closed",
+        "normalize_bipartition", "partial_transpose_eigenvalue", "ppt_crossover",
+    ),
+    "spiders": (
+        "Spider", "SpiderDecomposition", "SpiderValidation", "best_center_extraction",
+        "decomposition_lines", "extract_spiders", "grid_spiders", "spider_guarantee",
+        "validate_spiders",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

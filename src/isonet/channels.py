@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .hilbert import (
-    DensityOperator,
-    _require_capacity,
-    ghz,
-    partial_trace,
-)
+    from .hilbert import DensityOperator
 
 
 def apply_noisy_teleport(rho: DensityOperator, p: float, factor: int) -> DensityOperator:
@@ -28,6 +24,10 @@ def apply_noisy_teleport(rho: DensityOperator, p: float, factor: int) -> Density
 
     Basis action on the chosen factor: |i><j| -> p|i><j| + (1-p) d_ij I/d.
     """
+    import numpy as np
+
+    from .hilbert import DensityOperator, partial_trace
+
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"visibility {p} outside [0, 1]")
     if not 0 <= factor < len(rho.dims):
@@ -83,6 +83,8 @@ def star_teleport(rho: DensityOperator, p: float) -> DensityOperator:
 
 
 def _component_diagonal(n: int, noisy_set: frozenset) -> np.ndarray:
+    import numpy as np
+
     clean_mask = 0
     for position in range(n):
         if position not in noisy_set:
@@ -103,6 +105,10 @@ def depolarized_ghz_component(n: int, noisy: Iterable[int]) -> DensityOperator:
     mixture: (1/2)(|0..0><0..0| + |1..1><1..1|) (x) I_C / 2^|C|, with every
     factor at its original position.  The result is diagonal.
     """
+    import numpy as np
+
+    from .hilbert import DensityOperator
+
     noisy_set = frozenset(int(c) for c in noisy)
     if any(not 0 <= c < n for c in noisy_set):
         raise ValueError(f"noisy subset {sorted(noisy_set)} outside range [0, {n})")
@@ -118,6 +124,10 @@ def teleported_ghz_closed_form(n: int, p: float) -> DensityOperator:
     p^(n-k) (1-p)^k * (depolarized component for C)  +  (1-p)^n * I/2^n.
     Subsets are accumulated in lexicographic order for reproducible sums.
     """
+    import numpy as np
+
+    from .hilbert import DensityOperator, _require_capacity, ghz
+
     if n < 2:
         raise ValueError("GHZ state needs at least 2 qubits")
     if not 0.0 <= p <= 1.0:

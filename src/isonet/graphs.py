@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import NamedTuple
 
-import numpy as np
-
 INFINITE = math.inf  # sentinel for distances/diameter of disconnected graphs
 
 # uint64 words in each working array of the all-sources BFS in diameter():
@@ -130,6 +128,8 @@ def diameter(g: Graph):
         return 0
     if not is_connected(g):
         return INFINITE
+    import numpy as np
+
     # connected with n >= 2: no row of the CSR arrays is empty, which
     # reduceat would misread
     adjacency = g._adjacency
@@ -228,15 +228,6 @@ def shortest_path(g: Graph, u: int, v: int) -> PathInGraph | None:
         current = next(w for w in g.neighbors(current) if dist[w] == dist[current] - 1)
         vertices.append(current)
     return PathInGraph(tuple(vertices))
-
-
-def remove_path_edges(g: Graph, p: PathInGraph) -> Graph:
-    """Delete exactly the edges of p; the vertex set is unchanged."""
-    path_edges = p.edges()
-    for e in path_edges:
-        if e not in g.edges:
-            raise ValueError(f"path edge {e} absent from graph")
-    return Graph(g.vertex_count, g.edges - set(path_edges))
 
 
 # ---------------------------------------------------------------------------

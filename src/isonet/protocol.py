@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import spiders as spiders_mod
 from .channels import _saturating_pow2, path_teleport_visibility
 from .graphs import Graph, degree_stats, edge_connectivity, generate, shortest_path
-from .hilbert import PureStateVector
+
+if TYPE_CHECKING:
+    from .hilbert import PureStateVector
 
 RECURRENCE_MODEL_NOTE = "recurrence model, deterministic best case"
 
@@ -188,6 +188,8 @@ def pure_target_fidelity(target: PureStateVector, visibilities: Mapping[int, flo
     exactly 1, so all-ones visibilities give exactly 1.0; cuts of zero weight
     are skipped.  No density operator is built.
     """
+    import numpy as np
+
     m = len(target.dims)
     if target.dims != (2,) * m:
         raise ValueError(f"target state dims {target.dims} are not all qubits")

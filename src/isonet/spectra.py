@@ -13,11 +13,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
-from .hilbert import ATOL_INVARIANT
-
 _LOG2 = math.log(2.0)
+_numpy = None  # numpy once _mixed_term has needed it; no other command loads it
+
+
+def _import_numpy():
+    global _numpy
+    import numpy
+
+    _numpy = numpy
+    return numpy
 
 
 def normalize_bipartition(n: int, parties: Iterable[int]) -> frozenset:
@@ -115,7 +120,7 @@ def _mixed_term(n: int, p: float, w: int) -> float:
         return 0.5 if w == 0 else 0.0
     # np.exp, not math.exp: numpy's SIMD exp can differ from libm's in the
     # last ulp, and the printed min_eigenvalue digits come from this value
-    return float(np.exp(_log_mixed_term(n, p, w)))
+    return float((_numpy or _import_numpy()).exp(_log_mixed_term(n, p, w)))
 
 
 def _log_mixed_term(n: int, p: float, w: int) -> float:
@@ -280,6 +285,8 @@ class TeleportedGhzSpectrum:
 
 def teleported_ghz_spectrum(n: int, p: float, parties: Iterable[int]) -> TeleportedGhzSpectrum:
     """Tabulate every (j, sign) eigenvalue; the table must sum to one."""
+    from .hilbert import ATOL_INVARIANT
+
     subset = normalize_bipartition(n, parties)
     values = {}
     for j in range(2 ** (n - 1)):

@@ -8,6 +8,7 @@ noisy entangled pair between the center and each target.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -20,8 +21,6 @@ from .graphs import (
     degree_stats,
     edge_connectivity,
     is_connected,
-    remove_path_edges,
-    shortest_path,
 )
 
 
@@ -104,10 +103,11 @@ def extract_spiders(
     Targets are ordered once by non-decreasing distance from the center in
     the original graph (ties by vertex id).  Each leg is the
     lexicographically smallest shortest path in the current residual graph;
-    its edges are then deleted.  Legs are bundled into complete spiders;
-    extraction stops when the residual graph disconnects the center from a
-    target, when a shortest path exceeds the guarantee's leg bound 5/c, or
-    when max_spiders is reached.  Whenever the guarantee premises hold, at least
+    its edges are then deleted from a residual adjacency edited in place.
+    Legs are bundled into complete spiders; extraction stops when the
+    residual graph disconnects the center from a target, when a shortest
+    path exceeds the guarantee's leg bound 5/c, or when max_spiders is
+    reached.  Whenever the guarantee premises hold, at least
     spider_guarantee(g, subset).count spiders are produced.
     """
     verts = _check_subset(g, subset)
@@ -123,22 +123,60 @@ def extract_spiders(
     base_dist = _bfs_distances(g, center)
     targets = sorted(verts - {center}, key=lambda v: (base_dist[v], v))
 
-    residual = g
+    adjacency = g._adjacency
+    residual = [set(neighbours) for neighbours in adjacency]
     spiders = []
     while max_spiders is None or len(spiders) < max_spiders:
         legs = {}
         for target in targets:
-            path = shortest_path(residual, center, target)
-            if path is None or path.length > leg_length_bound:
+            leg = _residual_leg(adjacency, residual, center, target)
+            if leg is None or len(leg) - 1 > leg_length_bound:
                 legs = None
                 break
-            residual = remove_path_edges(residual, path)
-            legs[target] = path
+            for a, b in zip(leg, leg[1:]):
+                residual[a].remove(b)
+                residual[b].remove(a)
+            legs[target] = PathInGraph(leg)
         if legs is None:
             break
         spiders.append(Spider(center, legs))
 
     return SpiderDecomposition(g, verts, center, tuple(spiders), int(leg_length_bound))
+
+
+def _residual_leg(
+    adjacency: tuple, residual: list, center: int, target: int
+) -> tuple[int, ...] | None:
+    """Lexicographically smallest shortest center-target path in the residual
+    adjacency (one set per vertex, a subgraph of the sorted adjacency), or
+    None when the residual separates them.
+
+    A BFS from the target labels distances until it labels the center: by
+    then every vertex nearer the target than the center is labelled, and
+    every unlabelled one lies at least as far.  Walking from the center to
+    the smallest residual neighbour one level closer, as
+    graphs.shortest_path does on a whole distance field, gives the same
+    path.  The cost is the edges the BFS reaches.
+    """
+    dist = {target: 0}
+    queue = deque([target])
+    while center not in dist:
+        if not queue:
+            return None
+        u = queue.popleft()
+        nxt = dist[u] + 1
+        for w in residual[u]:
+            if w not in dist:
+                dist[w] = nxt
+                queue.append(w)
+    vertices = [center]
+    current, level = center, dist[center]
+    while level:
+        level -= 1
+        reachable = residual[current]
+        current = next(w for w in adjacency[current] if dist.get(w) == level and w in reachable)
+        vertices.append(current)
+    return tuple(vertices)
 
 
 def best_center_extraction(g: Graph, subset: Iterable) -> SpiderDecomposition:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import protocol as protocol_mod
 from . import spiders as spiders_mod
@@ -42,16 +41,8 @@ from .graphs import (
     max_edge_disjoint_paths,
     path_graph,
     random_tree,
+    shortest_path,
     star_graph,
-)
-from .hilbert import (
-    PureStateVector,
-    fidelity,
-    ghz,
-    ghz_basis,
-    isotropic,
-    max_entangled,
-    partial_transpose,
 )
 from .spectra import (
     SpectrumIndex,
@@ -66,6 +57,9 @@ from .spectra import (
     ppt_crossover,
     teleported_ghz_spectrum,
 )
+
+if TYPE_CHECKING:
+    from .hilbert import PureStateVector
 
 DEFAULT_SEED = 20260810
 
@@ -98,6 +92,10 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 10) -> Graph:
 
 def _visibility_of(rho) -> float:
     """Read the isotropic visibility off a dense two-factor state."""
+    import numpy as np
+
+    from .hilbert import max_entangled
+
     d = rho.dims[0]
     phi = max_entangled(d).vector
     overlap = np.vdot(phi, rho.matrix @ phi).real
@@ -136,6 +134,8 @@ def _class_scan_min_eigenvalues(n: int, p: float, cut_sizes) -> dict[int, float]
 def _per_call_sign_nonnegative(n: int, p: float, w: int) -> bool:
     """Oracle twin of spectra._ppt_sign_test: the four logarithms and numpy's
     logaddexp recomputed for every n."""
+    import numpy as np
+
     # sign of the (r, -) eigenvalue: -1 + ((1+p)/2p)^n ((1-p)/(1+p))^w
     #                                   + ((1-p)/2p)^n ((1+p)/(1-p))^w  >= 0
     log_a = n * math.log((1 + p) / (2 * p)) + w * math.log((1 - p) / (1 + p))
@@ -189,6 +189,42 @@ def _per_source_diameter(g: Graph):
         if worst == INFINITE:
             return INFINITE
     return worst
+
+
+def _remove_path_edges(g: Graph, path) -> Graph:
+    """g rebuilt without exactly the edges of path; the vertex set is unchanged."""
+    path_edges = path.edges()
+    for e in path_edges:
+        if e not in g.edges:
+            raise ValueError(f"path edge {e} absent from graph")
+    return Graph(g.vertex_count, g.edges - set(path_edges))
+
+
+def _rebuild_extract_spiders(
+    g: Graph, subset, center: int, max_spiders: int | None = None
+) -> spiders_mod.SpiderDecomposition:
+    """Oracle twin of spiders.extract_spiders: each leg is graphs.shortest_path
+    on the residual graph, rebuilt as a whole Graph without the edges of the
+    legs before it.  Takes valid arguments only."""
+    verts = frozenset(subset)
+    bound = spiders_mod._leg_length_bound(degree_stats(g).minimum, g.vertex_count)
+    base_dist = _bfs_distances(g, center)
+    targets = sorted(verts - {center}, key=lambda v: (base_dist[v], v))
+    residual = g
+    spiders = []
+    while max_spiders is None or len(spiders) < max_spiders:
+        legs = {}
+        for target in targets:
+            path = shortest_path(residual, center, target)
+            if path is None or path.length > bound:
+                legs = None
+                break
+            residual = _remove_path_edges(residual, path)
+            legs[target] = path
+        if legs is None:
+            break
+        spiders.append(spiders_mod.Spider(center, legs))
+    return spiders_mod.SpiderDecomposition(g, verts, center, tuple(spiders), int(bound))
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> Graph:
@@ -261,6 +297,10 @@ def _low_degree_graphs(rng: random.Random) -> list[tuple[str, Graph]]:
 
 
 def check_teleported_ghz_closed_form(seed, tol_scale, fault) -> CheckResult:
+    import numpy as np
+
+    from .hilbert import ghz
+
     tol = 1e-10 * tol_scale
     for n in range(2, 7):
         ghz_state = ghz(n).density()
@@ -278,6 +318,10 @@ def check_teleported_ghz_closed_form(seed, tol_scale, fault) -> CheckResult:
 
 
 def check_ghz_basis_eigenstructure(seed, tol_scale, fault) -> CheckResult:
+    import numpy as np
+
+    from .hilbert import ghz_basis
+
     tol = 1e-12 * tol_scale
     for n in range(2, 7):
         basis = [
@@ -325,6 +369,10 @@ def check_noise_overlap_forms(seed, tol_scale, fault) -> CheckResult:
 
 
 def check_ptranspose_spectrum(seed, tol_scale, fault) -> CheckResult:
+    import numpy as np
+
+    from .hilbert import ghz_basis, partial_transpose
+
     tol = 1e-9 * tol_scale
     for n in range(2, 9):
         cuts = [(q,) for q in range(n - 1)]
@@ -673,6 +721,59 @@ def check_spider_guarantee(seed, tol_scale, fault) -> CheckResult:
     )
 
 
+def check_spider_residual(seed, tol_scale, fault) -> CheckResult:
+    """extract_spiders on its residual adjacency against the rebuild twin:
+    every center of each subset, max_spiders None, 1 and 3 on the families
+    and one of them in turn on the random graphs; under a fault the twin
+    drops its last spider."""
+    name = "spider-residual"
+    rng = random.Random(seed + 8)
+    graphs = []  # (graph id, graph, subset, max_spiders values)
+    every = (None, 1, 3)
+    for i, n in enumerate((3, 4, 5, 6, 8, 11, 16, 23, 32, 45, 60)):
+        m = min(n, 2 + i % 3)
+        graphs.append((f"complete-{n}", complete_graph(n), _spread_subset(n, m), every))
+    for n, k, m in ((4, 3, 3), (4, 4, 2), (4, 4, 4), (12, 2, 3)):
+        graphs.append((f"grid-{n}-{k}", grid_graph(n, k), _spread_subset(n**k, m), every))
+    for n in (3, 4, 9, 40):
+        graphs.append((f"cycle-{n}", cycle_graph(n), _spread_subset(n, 3), every))
+    for trial in range(300):
+        n = rng.randint(3, 30)
+        g = random_connected_graph(rng, max_vertices=n)
+        density = rng.choice([0.1, 0.3, 0.6, 0.9])
+        extra = [e for e in combinations(range(g.vertex_count), 2) if rng.random() < density]
+        g = Graph(g.vertex_count, [*g.edges, *extra])
+        subset = tuple(rng.sample(range(g.vertex_count), rng.randint(2, min(5, g.vertex_count))))
+        graphs.append((f"random-{trial}", g, subset, (every[trial % 3],)))
+    cases = 0
+    for graph_id, g, subset, limits in graphs:
+        for center in subset:
+            for max_spiders in limits:
+                cases += 1
+                fast = spiders_mod.extract_spiders(g, subset, center, max_spiders)
+                twin = _rebuild_extract_spiders(g, subset, center, max_spiders)
+                if fault and twin.spiders:
+                    twin = replace(twin, spiders=twin.spiders[:-1])
+                fast_lines = spiders_mod.decomposition_lines(fast)
+                twin_lines = spiders_mod.decomposition_lines(twin)
+                if fast_lines != twin_lines:
+                    return CheckResult(
+                        name,
+                        False,
+                        f"{graph_id} subset={subset} center={center} "
+                        f"max_spiders={max_spiders}: residual {len(fast_lines)} legs "
+                        f"({fast.count} spiders), rebuild {len(twin_lines)} legs "
+                        f"({twin.count} spiders)",
+                    )
+    return CheckResult(
+        name,
+        True,
+        f"{cases} extractions on {len(graphs)} graphs (complete, grids 4^3, 4^4 and "
+        "12^2, cycles, random of several densities), every center: "
+        "decomposition lines equal the rebuild twin's",
+    )
+
+
 def check_grid_spider_construction(seed, tol_scale, fault) -> CheckResult:
     for n, k in ((3, 2), (5, 2), (7, 2), (8, 2), (3, 3), (4, 3), (8, 3)):
         spec = GridGraphSpec(n, k)
@@ -718,6 +819,10 @@ def check_grid_spider_construction(seed, tol_scale, fault) -> CheckResult:
 
 
 def check_path_teleportation_law(seed, tol_scale, fault) -> CheckResult:
+    import numpy as np
+
+    from .hilbert import isotropic
+
     tol = 1e-12 * tol_scale
     for d in (2, 3):
         for p in (0.0, 0.4, 0.8, 1.0):
@@ -796,6 +901,8 @@ def check_protocol_trend(seed, tol_scale, fault) -> CheckResult:
 def _dense_teleport_fidelity(target: PureStateVector, visibilities: dict) -> float:
     """The final stage composed densely: each listed position's channel
     applied to the target's density matrix, then the fidelity with it."""
+    from .hilbert import fidelity
+
     state = target.density()
     for position, p in visibilities.items():
         state = apply_noisy_teleport(state, p, position)
@@ -807,6 +914,10 @@ def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
     m = 2..8 and the cut sum on random pure targets for m = 2..7, every
     center; then the cut sum on GHZ targets against the product up to m = 12,
     where the dense loop would need 4^12 entries."""
+    import numpy as np
+
+    from .hilbert import PureStateVector, ghz
+
     name = "protocol-fidelity-closed-form"
     tol = 1e-12 * tol_scale
     grid = (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0)
@@ -916,6 +1027,7 @@ CHECKS = {
     "diameter-all-sources": ("graphs", check_diameter_all_sources),
     "ppt-sign-test": ("spectra", check_ppt_sign_test),
     "ppt-crossover-gallop": ("spectra", check_ppt_crossover_gallop),
+    "spider-residual": ("spiders", check_spider_residual),
 }
 
 

@@ -103,3 +103,7 @@ def test_c17_ppt_sign_test_matches_per_call_twin():
 
 def test_c18_ppt_crossover_gallop_matches_linear_scan():
     _run("ppt-crossover-gallop", "18")
+
+
+def test_c19_spider_residual_matches_rebuild_twin():
+    _run("spider-residual", "19")

@@ -26,7 +26,6 @@ from isonet import (
     path_graph,
     random_tree,
     read_edge_list,
-    remove_path_edges,
     shortest_path,
     star_graph,
     write_edge_list,
@@ -35,6 +34,7 @@ from isonet.graphs import edge_connectivity_exhaustive
 from isonet.verification import (
     _all_targets_edge_connectivity,
     _per_source_diameter,
+    _remove_path_edges,
     planted_cut_graph,
     random_connected_graph,
 )
@@ -205,15 +205,16 @@ def test_shortest_path_is_lexicographically_smallest():
 
 
 def test_remove_path_edges():
+    # the rebuild step of the spider extraction's oracle twin
     k3 = complete_graph(3)
-    trimmed = remove_path_edges(k3, PathInGraph((0, 1)))
+    trimmed = _remove_path_edges(k3, PathInGraph((0, 1)))
     assert trimmed.edge_count == 2
     assert trimmed.vertex_count == 3
     p5 = path_graph(5)
-    chopped = remove_path_edges(p5, PathInGraph((1, 2, 3)))
+    chopped = _remove_path_edges(p5, PathInGraph((1, 2, 3)))
     assert chopped.degree(2) == p5.degree(2) - 2
     with pytest.raises(ValueError):
-        remove_path_edges(chopped, PathInGraph((1, 2)))
+        _remove_path_edges(chopped, PathInGraph((1, 2)))
 
 
 def test_removing_fewer_than_connectivity_edges_keeps_graph_connected():
@@ -226,7 +227,7 @@ def test_removing_fewer_than_connectivity_edges_keeps_graph_connected():
         path = shortest_path(g, u, v)
         if path is None or path.length >= lam:
             continue
-        assert is_connected(remove_path_edges(g, path))
+        assert is_connected(_remove_path_edges(g, path))
 
 
 def test_path_in_graph_invariants():

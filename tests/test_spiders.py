@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isonet import (
     Graph,
@@ -18,11 +21,11 @@ from isonet import (
     grid_spiders,
     max_edge_disjoint_paths,
     path_graph,
-    remove_path_edges,
     spider_guarantee,
     star_graph,
     validate_spiders,
 )
+from isonet.verification import _rebuild_extract_spiders, _remove_path_edges
 
 
 def test_guarantee_arithmetic_on_k51():
@@ -107,10 +110,35 @@ def test_inductive_step_replay():
     residual = g
     for spider in dec.spiders:
         for leg in spider.legs.values():
-            residual = remove_path_edges(residual, leg)
+            residual = _remove_path_edges(residual, leg)
     again = extract_spiders(residual, subset, 0, max_spiders=1)
     assert again.count == 1
     assert validate_spiders(again).ok
+
+
+@st.composite
+def _extraction_cases(draw):
+    """A connected graph (a random tree plus chords), a target subset, one of
+    its vertices as the center, and a spider limit."""
+    n = draw(st.integers(2, 14))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chords = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=40))
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True))
+    center = draw(st.sampled_from(subset))
+    max_spiders = draw(st.sampled_from([None, 0, 1, 3]))
+    return Graph(n, [*tree, *chords]), subset, center, max_spiders
+
+
+@settings(max_examples=150, deadline=None)
+@given(_extraction_cases())
+def test_residual_extraction_matches_rebuild_twin(case):
+    g, subset, center, max_spiders = case
+    edges = g.edges
+    dec = extract_spiders(g, subset, center, max_spiders)
+    twin = _rebuild_extract_spiders(g, subset, center, max_spiders)
+    assert decomposition_lines(dec) == decomposition_lines(twin)
+    assert validate_spiders(dec).ok
+    assert g.edges == edges  # the residual is a copy
 
 
 def test_star_graph_extraction_away_from_hub():
