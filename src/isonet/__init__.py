@@ -20,8 +20,8 @@ _EXPORTS = {
         "GRAPH_FAMILIES", "INFINITE", "DegreeStats", "Graph", "GridGraphSpec",
         "PathInGraph", "complete_graph", "cycle_graph", "degree_stats", "diameter",
         "distance", "edge_connectivity", "generate", "grid_graph", "is_connected",
-        "max_edge_disjoint_paths", "path_graph", "random_tree", "read_edge_list",
-        "shortest_path", "star_graph", "write_edge_list",
+        "path_graph", "random_tree", "read_edge_list", "shortest_path", "star_graph",
+        "write_edge_list",
     ),
     "hilbert": (
         "ATOL_INVARIANT", "ATOL_PSD", "MAX_DENSE_DIM", "CapacityError",

@@ -239,7 +239,9 @@ class _UnitFlow:
     """Dinic max-flow on an undirected graph with unit edge capacities.
 
     The arc arrays are built once per graph; every max_flow call resets the
-    capacities in place, so one network serves any number of (s, t) pairs.
+    capacities in place, so one network serves any number of flows.  The
+    sink is a set of vertices contracted into one: a flow ends at the first
+    sink vertex it enters, so edges among sink vertices carry nothing.
     """
 
     def __init__(self, g: Graph):
@@ -255,29 +257,32 @@ class _UnitFlow:
             self.to.append(u)
         self.cap = [1] * len(self.to)
 
-    def max_flow(self, s: int, t: int, cutoff: float = INFINITE) -> int:
-        """Flow value from s to t, stopping once it reaches cutoff."""
+    def max_flow(self, s: int, sink: list, cutoff: float = INFINITE) -> int:
+        """Flow value from s into the vertices v with sink[v] true, stopping
+        once it reaches cutoff; s itself must not be a sink vertex."""
         cap = self.cap
         cap[:] = (1,) * len(cap)
         flow = 0
         while flow < cutoff:
-            level = self._levels(s, t)
-            if level[t] < 0:
+            level, depth = self._levels(s, sink)
+            if depth < 0:
                 break
             it = [0] * self.n
             while flow < cutoff:
-                pushed = self._augment(s, t, level, it)
+                pushed = self._augment(s, sink, depth, level, it)
                 if not pushed:
                     break
                 flow += pushed
         return flow
 
-    def _levels(self, s: int, t: int) -> list:
-        """BFS distances from s in the residual graph, up to t's.
+    def _levels(self, s: int, sink: list) -> tuple[list, int]:
+        """BFS distances from s in the residual graph, and the sink's depth.
 
-        The search stops when t is reached.  Every vertex still at -1 then
-        lies at t's distance or beyond, so no shortest s-t path uses it, and
-        the paths _augment finds are those of the full level graph.
+        The search stops at the first sink vertex it labels and returns its
+        distance, or -1 when no sink vertex is reachable.  Every vertex still
+        at -1 then lies at that depth or beyond, so no shortest path into the
+        sink passes through it, and the paths _augment finds are those of the
+        full level graph.  No sink vertex is ever expanded.
         """
         head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
@@ -289,39 +294,46 @@ class _UnitFlow:
             for a in head[u]:
                 w = to[a]
                 if cap[a] > 0 and level[w] < 0:
+                    if sink[w]:
+                        return level, nxt
                     level[w] = nxt
-                    if w == t:
-                        return level
                     queue.append(w)
-        return level
+        return level, -1
 
-    def _augment(self, s: int, t: int, level: list, it: list) -> int:
-        """Push one unit along the first s-t path of the level graph.
+    def _augment(self, s: int, sink: list, depth: int, level: list, it: list) -> int:
+        """Push one unit along the first path of the level graph from s into
+        the sink.
 
         A depth-first search with an explicit stack of arcs, so its depth is
         bounded by the heap rather than the recursion limit.  Arcs are tried
-        in head order from it[u]; a dead end gets level -1 and its parent
-        moves on to its next arc, as in the textbook recursive form.
+        in head order from it[u]; below the sink's depth an arc must climb one
+        level, and at depth - 1 it must enter any sink vertex.  A dead end
+        gets level -1 and its parent moves on to its next arc, as in the
+        textbook recursive form.
         """
         head, to, cap = self.head, self.to, self.cap
         path = []  # arcs from s to u
         u = s
-        while u != t:
+        while True:
             arcs = head[u]
             end = len(arcs)
             i = it[u]
             nxt = level[u] + 1
+            # the next vertex must satisfy key[w] == want
+            key, want = (sink, True) if nxt == depth else (level, nxt)
             while i < end:
                 a = arcs[i]
-                if cap[a] > 0 and level[to[a]] == nxt:
+                if cap[a] > 0 and key[to[a]] == want:
                     break
                 i += 1
             it[u] = i
             if i < end:
                 path.append(a)
+                if nxt == depth:
+                    break
                 u = to[a]
                 continue
-            level[u] = -1  # no route to t from u in this phase
+            level[u] = -1  # no route into the sink from u in this phase
             if not path:
                 return 0
             u = to[path.pop() ^ 1]
@@ -330,28 +342,6 @@ class _UnitFlow:
             cap[a] -= 1
             cap[a ^ 1] += 1
         return 1
-
-
-def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> int:
-    """Maximum number of pairwise edge-disjoint u-v paths (unit-capacity max flow)."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError("endpoints must differ")
-    return _UnitFlow(g).max_flow(u, v)
-
-
-def _greedy_dominating_set(g: Graph) -> list[int]:
-    """Dominating set picked greedily in vertex-id order, starting with 0."""
-    dominated = [False] * g.vertex_count
-    chosen = []
-    for v in range(g.vertex_count):
-        if not dominated[v]:
-            chosen.append(v)
-            dominated[v] = True
-            for w in g.neighbors(v):
-                dominated[w] = True
-    return chosen
 
 
 def _connectivity_up_to_two(g: Graph) -> int:
@@ -397,7 +387,8 @@ def _connectivity_up_to_two(g: Graph) -> int:
 
 def edge_connectivity(g: Graph) -> int:
     """Global minimum edge cut: a bridge search when delta_min <= 2, otherwise
-    max flows from vertex 0 to a dominating set.
+    max flows from each new vertex of a growing dominating set into the
+    vertices already chosen.
 
     Small minimum degree.  The edges at a vertex of minimum degree form a
     cut, so lambda <= delta_min; lambda >= 1 exactly when g is connected, and
@@ -405,38 +396,55 @@ def edge_connectivity(g: Graph) -> int:
     disconnects it.  So for delta_min <= 2, lambda = min(delta_min,
     _connectivity_up_to_two(g)), in O(n + m).
 
-    Otherwise Esfahanian & Hakimi (1984): start from L = delta_min, an upper
-    bound, and take max flows from vertex 0 to every other vertex of a
-    dominating set D containing 0, each with cutoff L, lowering L as they
-    come in.
+    Otherwise Matula ("Determining edge connectivity in O(nm)", FOCS 1987),
+    refining Esfahanian & Hakimi (1984).  Start from L = delta_min, an upper
+    bound, with the sink set {0} and N[0] dominated.  Walk the vertices in id
+    order; each undominated v takes a max flow, with cutoff L, into the sink
+    set contracted into one vertex, lowering L, and then joins the sink set
+    and marks N[v] dominated.  The vertices that take a flow, with 0, form
+    the greedy dominating set D in id order.
 
-    Exactness.  Every flow is at least lambda, and lambda <= delta_min.
-    Suppose lambda < delta_min and let (S, T) be a minimum cut.  A side S
-    with |S| <= delta_min would send at least |S| (delta_min - |S| + 1) >=
+    Exactness.  Every flow is at least lambda, since a cut between v and the
+    sink set is an edge cut of g, and lambda <= delta_min.  Suppose lambda <
+    delta_min and let (A, B) be a minimum cut with 0 in A.  A side S with
+    |S| <= delta_min would send at least |S| (delta_min - |S| + 1) >=
     delta_min edges across, since each of its vertices has at most |S| - 1
-    neighbours inside.  So |S| > lambda, while at most lambda vertices of S
-    touch the cut: some vertex of S has no neighbour across it.  D dominates
-    that vertex, so D meets S, and likewise T.  Hence some w in D lies on the
-    other side from 0, and the 0-w flow is lambda.  When D = {0}, vertex 0
-    is adjacent to every other vertex, so lambda = delta_min.
+    neighbours inside.  So |B| > lambda, while at most lambda vertices of B
+    touch the cut: some vertex of B has no neighbour across it.  D dominates
+    that vertex, so D meets B.  The first vertex of D in B sends its flow
+    into a sink set that lies wholly in A, so (A, B) separates them and that
+    flow is lambda.  When D = {0}, vertex 0 is adjacent to every other
+    vertex, so lambda = delta_min.
 
-    One flow network is built per graph and its capacities are reset per
-    target; augmentation is iterative, so no input reaches the recursion
-    limit.
+    Cost.  The sink set soon dominates most of the graph, so the level search
+    of each flow ends within a few levels of v instead of running out to the
+    far side of the graph.  One flow network is built per graph and its
+    capacities are reset per flow; augmentation is iterative, so no input
+    reaches the recursion limit.
     """
     if g.vertex_count < 2:
         raise ValueError("edge connectivity needs at least two vertices")
     best = degree_stats(g).minimum
     if best <= 2:
         return min(best, _connectivity_up_to_two(g))
-    targets = _greedy_dominating_set(g)[1:]
-    if not targets:
-        return best
-    flow = _UnitFlow(g)
-    for w in targets:
-        best = min(best, flow.max_flow(0, w, cutoff=best))
+    adjacency = g._adjacency
+    sink = [False] * g.vertex_count
+    dominated = [False] * g.vertex_count
+    sink[0] = dominated[0] = True
+    for w in adjacency[0]:
+        dominated[w] = True
+    flow = None
+    for v in range(1, g.vertex_count):
+        if dominated[v]:
+            continue
+        if flow is None:
+            flow = _UnitFlow(g)
+        best = min(best, flow.max_flow(v, sink, cutoff=best))
         if best == 0:
             break
+        sink[v] = dominated[v] = True
+        for w in adjacency[v]:
+            dominated[w] = True
     return best
 
 
@@ -552,14 +560,15 @@ class GridGraphSpec:
         return tuple(reversed(coords))
 
     def to_graph(self) -> Graph:
+        # coordinate m of a vertex id is vid // n**(k-1-m) % n; raising it from
+        # c to c2 adds (c2 - c) * n**(k-1-m) to the id
+        n = self.n
+        strides = [n ** (self.k - 1 - m) for m in range(self.k)]
         edges = []
         for vid in range(self.order):
-            coords = self.vertex_coords(vid)
-            for m in range(self.k):
-                for c in range(coords[m] + 1, self.n):
-                    other = list(coords)
-                    other[m] = c
-                    edges.append((vid, self.vertex_id(tuple(other))))
+            for stride in strides:
+                top = vid + (n - vid // stride % n) * stride
+                edges.extend((vid, other) for other in range(vid + stride, top, stride))
         return Graph(self.order, edges)
 
 

@@ -38,7 +38,6 @@ from .graphs import (
     edge_connectivity_exhaustive,
     grid_graph,
     is_connected,
-    max_edge_disjoint_paths,
     path_graph,
     random_tree,
     shortest_path,
@@ -166,15 +165,32 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
+def _single_sink(g: Graph, v: int) -> list:
+    """The sink flags of _UnitFlow.max_flow for the one target v."""
+    sink = [False] * g.vertex_count
+    sink[v] = True
+    return sink
+
+
+def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> int:
+    """Maximum number of pairwise edge-disjoint u-v paths (unit-capacity max flow)."""
+    g._check_vertex(u)
+    g._check_vertex(v)
+    if u == v:
+        raise ValueError("endpoints must differ")
+    return _UnitFlow(g).max_flow(u, _single_sink(g, v))
+
+
 def _all_targets_edge_connectivity(g: Graph) -> int:
     """Minimum over every target v != 0 of the max flow from vertex 0 to v.
 
     Every cut separates vertex 0 from some other vertex, so this is exact
-    without any reduction; each target gets a network of its own.
+    without any reduction; each target gets a network of its own and a sink
+    of that one vertex.
     """
     best = g.vertex_count * g.vertex_count  # above any possible cut
     for v in range(1, g.vertex_count):
-        best = min(best, _UnitFlow(g).max_flow(0, v, cutoff=best))
+        best = min(best, _UnitFlow(g).max_flow(0, _single_sink(g, v), cutoff=best))
         if best == 0:
             break
     return best
@@ -244,13 +260,20 @@ def _cycle_edges(vertices) -> list[tuple[int, int]]:
     return list(zip(vertices, vertices[1:] + vertices[:1]))
 
 
+def _planted_cut(rng: random.Random, left: Graph, right: Graph, k: int) -> Graph:
+    """Disjoint copies of left and right joined by k distinct cross edges,
+    with the vertex ids shuffled, so vertex 0 may land on either side."""
+    a, b = left.vertex_count, right.vertex_count
+    cross = rng.sample([(u, v) for u in range(a) for v in range(a, a + b)], k)
+    edges = [*sorted(left.edges), *((u + a, v + a) for u, v in sorted(right.edges)), *cross]
+    return _shuffled_graph(rng, a + b, edges)
+
+
 def planted_cut_graph(rng: random.Random, a: int, b: int, k: int) -> Graph:
     """Cliques on a and b vertices joined by k distinct cross edges, with the
     vertex ids shuffled; for k < min(a, b) - 1 the k edges are the only
     minimum cut, below the minimum degree."""
-    cross = rng.sample([(u, v) for u in range(a) for v in range(a, a + b)], k)
-    edges = [*combinations(range(a), 2), *combinations(range(a, a + b), 2), *cross]
-    return _shuffled_graph(rng, a + b, edges)
+    return _planted_cut(rng, complete_graph(a), complete_graph(b), k)
 
 
 def _low_degree_graphs(rng: random.Random) -> list[tuple[str, Graph]]:
@@ -578,7 +601,8 @@ def check_menger_duality(seed, tol_scale, fault) -> CheckResult:
     for trial in range(200):
         g = random_connected_graph(rng, max_vertices=10)
         fast = edge_connectivity(g)
-        brute = edge_connectivity_exhaustive(g)
+        # under a fault the cut enumeration reads one edge too many
+        brute = edge_connectivity_exhaustive(g) + (fault > 0)
         pairwise = min(
             max_edge_disjoint_paths(g, u, v)
             for u in range(g.vertex_count)
@@ -597,7 +621,7 @@ def check_menger_duality(seed, tol_scale, fault) -> CheckResult:
 def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
     rng = random.Random(seed + 4)
     graphs = [(f"complete-{n}", complete_graph(n)) for n in (2, 3, 4, 7, 16, 33, 60)]
-    graphs += [("grid-4-3", grid_graph(4, 3)), ("grid-3-4", grid_graph(3, 4))]
+    graphs += [(f"grid-{n}-{k}", grid_graph(n, k)) for n, k in ((4, 3), (3, 4), (5, 3), (4, 4))]
     graphs += [(f"cycle-{n}", cycle_graph(n)) for n in (3, 4, 9, 40)]
     graphs += [(f"star-{n}", star_graph(n)) for n in (2, 5, 30)]
     graphs += [(f"path-{n}", path_graph(n)) for n in (2, 3, 25)]
@@ -614,6 +638,14 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
         a, b = rng.randint(4, 30), rng.randint(4, 30)
         k = rng.randint(1, min(a, b) - 2)
         graphs.append((f"planted-{a}-{b}-{k}", planted_cut_graph(rng, a, b, k)))
+    for trial in range(16):
+        # Hamming grids of minimum degree 6 to 9 joined by k < 6 edges: each
+        # side needs several dominating vertices, so which one first crosses
+        # the cut varies with the shuffled ids
+        sides = [rng.choice(((3, 3), (4, 2), (4, 3), (3, 4))) for _ in range(2)]
+        k = rng.randint(1, 5)
+        g = _planted_cut(rng, *(grid_graph(n, d) for n, d in sides), k)
+        graphs.append((f"planted-grids-{trial}-{k}", g))
     graphs += _low_degree_graphs(rng)
     for graph_id, g in graphs:
         fast = edge_connectivity(g) + fault
@@ -628,8 +660,9 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
     return CheckResult(
         "edge-connectivity-reduction",
         True,
-        f"{len(graphs)} graphs: families, random, disconnected, planted cuts, "
-        "minimum degree <= 2 with bridges and cut vertices; exact",
+        f"{len(graphs)} graphs: families, Hamming grids, random, disconnected, planted "
+        "cuts between cliques and between grids, minimum degree <= 2 with bridges and "
+        "cut vertices; exact",
     )
 
 

@@ -1,10 +1,14 @@
-"""Write tests/golden/spider_protocol.json: the exit code and the stdout
-sha256 of each `spider` and `protocol` invocation in CASES.
+"""Write the golden corpora under tests/golden/: the exit code and the
+stdout sha256 of each `spider` and `protocol` invocation in CASES
+(spider_protocol.json) and of each `graph` invocation in GRAPH_CASES
+(graph.json).
 
     PYTHONPATH=src python tests/golden/generate.py
 
-The file is the byte-identity contract that test_golden replays.  Rewrite
-it only when an output is meant to change, and name every changed entry
+Invocations run from the repository root, so that the edge-list paths in
+the argv, which the output header records, read the same everywhere.  The
+files are the byte-identity contract that test_golden replays.  Rewrite
+them only when an output is meant to change, and name every changed entry
 and its reason in CHANGES.md.
 """
 
@@ -14,10 +18,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
-OUT = Path(__file__).resolve().parent / "spider_protocol.json"
+GOLDEN = Path(__file__).resolve().parent
+ROOT = GOLDEN.parent.parent
 
 
 def _complete(n, subset, *extra):
@@ -82,6 +88,40 @@ CASES = [
 ]
 
 
+
+def _family(family, n, *extra):
+    return ["graph", "--family", family, "--n", str(n), *extra]
+
+
+GRAPH_CASES = [
+    # Hamming grids: lambda = delta >= 3 takes the flows; k = 1 is complete
+    *(_family("grid", n, "--k", str(k)) for n, k in ((4, 3), (4, 4), (5, 3), (12, 2), (3, 5), (10, 3))),
+    _family("grid", 7, "--k", "1"),
+    # complete graphs: K1 has no edge connectivity, K2 to K150
+    *(_family("complete", n) for n in (1, 2, 3, 17, 64, 65, 150)),
+    # cycles, paths and stars: minimum degree <= 2, the bridge search
+    *(_family("cycle", n) for n in (3, 50, 400)),
+    *(_family("path", n) for n in (1, 2, 300)),
+    *(_family("star", n) for n in (2, 40)),
+    # seeded trees
+    _family("tree", 30, "--seed", "4"),
+    _family("tree", 200, "--seed", "9"),
+    # a disconnected graph from an edge-list file: a triangle, a K4, an
+    # edge and an isolated vertex
+    ["graph", "--edge-list", "tests/golden/disconnected.edges"],
+    # usage and input errors
+    _family("grid", 4),
+    _family("grid", 1, "--k", "3"),
+    _family("cycle", 2),
+    ["graph", "--family", "complete"],
+    ["graph"],
+    ["graph", "--family", "hexagon", "--n", "6"],
+    ["graph", "--edge-list", "tests/golden/no-such-file.edges"],
+]
+
+CORPORA = {"spider_protocol.json": CASES, "graph.json": GRAPH_CASES}
+
+
 def run(argv) -> dict:
     from isonet.cli import main
 
@@ -99,9 +139,11 @@ def run(argv) -> dict:
 
 
 def main() -> int:
-    entries = [run(argv) for argv in CASES]
-    OUT.write_text(json.dumps(entries, indent=1) + "\n", encoding="ascii")
-    print(f"{len(entries)} entries -> {OUT}")
+    os.chdir(ROOT)
+    for name, cases in CORPORA.items():
+        entries = [run(argv) for argv in cases]
+        (GOLDEN / name).write_text(json.dumps(entries, indent=1) + "\n", encoding="ascii")
+        print(f"{len(entries)} entries -> {GOLDEN / name}")
     return 0
 
 

@@ -347,3 +347,13 @@ def test_usage_errors_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_integers_too_large_for_a_machine_word_exit_2(capsys):
+    # a cut of 10^400 parties cannot be built: OverflowError, reported as a usage error
+    huge = 10**400
+    code, out, err = run_cli(capsys, "ppt-scan", "--n", str(huge + 1), "--p", "0.9", "--w", str(huge))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,21 +1,20 @@
-"""Byte identity of `spider` and `protocol` output: each invocation in
-tests/golden/spider_protocol.json must give the recorded exit code and
-stdout sha256.  tests/golden/generate.py writes that file."""
+"""Byte identity of CLI output: each invocation in a golden corpus under
+tests/golden/ must give the recorded exit code and stdout sha256.
+tests/golden/generate.py writes those files, running every invocation from
+the repository root."""
 
 import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
 from isonet.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "spider_protocol.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_spider_and_protocol_stdout_match_golden_corpus(capsys):
-    entries = json.loads(GOLDEN.read_text(encoding="ascii"))
-    assert len(entries) >= 40
+def _mismatches(name: str, capsys, min_entries: int) -> list[str]:
+    entries = json.loads((GOLDEN / name).read_text(encoding="ascii"))
+    assert len(entries) >= min_entries
     mismatches = []
     for entry in entries:
         try:
@@ -26,4 +25,15 @@ def test_spider_and_protocol_stdout_match_golden_corpus(capsys):
         digest = hashlib.sha256(out.encode()).hexdigest()
         if (code, digest) != (entry["exit"], entry["stdout_sha256"]):
             mismatches.append(f"{' '.join(entry['argv'])}: exit {code}, sha256 {digest}")
+    return mismatches
+
+
+def test_spider_and_protocol_stdout_match_golden_corpus(capsys):
+    mismatches = _mismatches("spider_protocol.json", capsys, 40)
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_graph_stdout_matches_golden_corpus(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent.parent)  # edge-list paths are relative to the root
+    mismatches = _mismatches("graph.json", capsys, 30)
     assert not mismatches, "\n".join(mismatches)

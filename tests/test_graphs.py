@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isonet import graphs
+from isonet import graphs, verification
 from isonet import (
     INFINITE,
     Graph,
@@ -22,7 +22,6 @@ from isonet import (
     generate,
     grid_graph,
     is_connected,
-    max_edge_disjoint_paths,
     path_graph,
     random_tree,
     read_edge_list,
@@ -30,11 +29,12 @@ from isonet import (
     star_graph,
     write_edge_list,
 )
-from isonet.graphs import edge_connectivity_exhaustive
+from isonet.graphs import _UnitFlow, edge_connectivity_exhaustive
 from isonet.verification import (
     _all_targets_edge_connectivity,
     _per_source_diameter,
     _remove_path_edges,
+    max_edge_disjoint_paths,
     planted_cut_graph,
     random_connected_graph,
 )
@@ -163,6 +163,71 @@ def test_edge_connectivity_finds_planted_cut_below_min_degree(case):
     assert edge_connectivity(g) == _all_targets_edge_connectivity(g) == k
 
 
+@st.composite
+def _flow_cases(draw):
+    """A graph on 2..14 vertices, a source s and a nonempty sink set without s."""
+    n = draw(st.integers(2, 14))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    order = draw(st.permutations(range(n)))
+    sink_size = draw(st.integers(1, n - 1))
+    return g, order[0], set(order[1 : 1 + sink_size])
+
+
+def _min_cut_around(g: Graph, s: int, sink: set) -> int:
+    """Fewest edges across any bipartition with s on one side and the whole
+    sink on the other, by enumerating the sides of the other vertices."""
+    free = [v for v in range(g.vertex_count) if v != s and v not in sink]
+    best = g.edge_count
+    for mask in range(1 << len(free)):
+        side = {s, *(v for i, v in enumerate(free) if mask >> i & 1)}
+        best = min(best, sum((u in side) != (v in side) for u, v in g.edges))
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_flow_cases(), cutoff=st.integers(0, 14))
+def test_max_flow_into_a_sink_set_equals_min_cut(case, cutoff):
+    g, s, sink = case
+    flags = [v in sink for v in range(g.vertex_count)]
+    cut = _min_cut_around(g, s, sink)
+    flow = _UnitFlow(g)
+    assert flow.max_flow(s, flags) == cut
+    # the same network again, with its capacities reset, under a cutoff
+    assert flow.max_flow(s, flags, cutoff=cutoff) == min(cut, cutoff)
+
+
+@st.composite
+def _min_degree_three_graphs(draw):
+    """Two random parts joined by 0-4 cross edges, every vertex topped up to
+    degree 3 inside its own part, then the ids permuted: minimum degree >= 3,
+    with cuts below it now and then and vertex 0 on either side."""
+    a, b = draw(st.integers(4, 16)), draw(st.integers(4, 16))
+    n = a + b
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    parts = (range(a), range(a, n))
+    edges = set()
+    for part in parts:
+        density = draw(st.floats(0.0, 0.8))
+        edges |= {e for e in combinations(part, 2) if rng.random() < density}
+    edges |= {(rng.randrange(a), rng.randrange(a, n)) for _ in range(draw(st.integers(0, 4)))}
+    for part in parts:
+        for v in part:
+            while sum(v in e for e in edges) < 3:
+                w = rng.choice([w for w in part if w != v])
+                edges.add((min(v, w), max(v, w)))
+    relabel = draw(st.permutations(range(n)))
+    return Graph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_min_degree_three_graphs())
+def test_edge_connectivity_equals_all_targets_at_min_degree_three(g):
+    assert degree_stats(g).minimum >= 3
+    assert edge_connectivity(g) == _all_targets_edge_connectivity(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=_small_graphs())
 def test_edge_connectivity_matches_networkx(g):
@@ -258,6 +323,25 @@ def test_grid_generation():
     assert len(expected) == 9 * 2 * (3 - 1) // 2 == 18
 
 
+def _grid_by_coordinates(n: int, k: int) -> Graph:
+    """The grid built from vertex coordinates, one validated id per neighbour."""
+    spec = GridGraphSpec(n, k)
+    edges = []
+    for vid in range(spec.order):
+        coords = spec.vertex_coords(vid)
+        for m in range(k):
+            for c in range(coords[m] + 1, n):
+                edges.append((vid, spec.vertex_id((*coords[:m], c, *coords[m + 1 :]))))
+    return Graph(spec.order, edges)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (7, 1), (2, 2), (5, 2), (3, 3), (4, 3), (3, 4), (4, 4), (2, 6)])
+def test_grid_by_strides_equals_coordinate_construction(n, k):
+    g, expected = grid_graph(n, k), _grid_by_coordinates(n, k)
+    assert g.edges == expected.edges
+    assert g._adjacency == expected._adjacency
+
+
 def test_grid_regular_degrees_sweep():
     for n in range(2, 7):
         for k in range(1, 4):
@@ -313,3 +397,10 @@ def test_edge_list_round_trip():
 def test_edge_list_rejects_malformed_input(text):
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO(text))
+
+
+@pytest.mark.parametrize("name", ["menger-duality", "edge-connectivity-reduction"])
+def test_flow_oracles_fail_under_a_fault(name):
+    # the fault-free runs are the acceptance tests c06 and c15
+    _, check = verification.CHECKS[name]
+    assert not check(verification.DEFAULT_SEED, 1.0, 1e-6).passed

@@ -19,13 +19,16 @@ from isonet import (
     extract_spiders,
     grid_graph,
     grid_spiders,
-    max_edge_disjoint_paths,
     path_graph,
     spider_guarantee,
     star_graph,
     validate_spiders,
 )
-from isonet.verification import _rebuild_extract_spiders, _remove_path_edges
+from isonet.verification import (
+    _rebuild_extract_spiders,
+    _remove_path_edges,
+    max_edge_disjoint_paths,
+)
 
 
 def test_guarantee_arithmetic_on_k51():
