@@ -29,8 +29,8 @@ _EXPORTS = {
         "isotropic", "max_entangled", "partial_trace", "partial_transpose", "tensor",
     ),
     "protocol": (
-        "BelowThresholdError", "GrowthScan", "ProtocolPlan", "ProtocolReport",
-        "TargetOutcome", "connectivity_growth_scan", "default_center",
+        "BelowThresholdError", "ProtocolPlan", "ProtocolReport", "TargetOutcome",
+        "default_center",
         "distilled_visibility", "downgrade_visibility", "fidelity_from_visibility",
         "ghz_teleport_fidelity", "plan_partial_distillation", "pure_target_fidelity",
         "recurrence_step", "run_partial_distillation", "simulate_partial_distillation",
@@ -42,8 +42,7 @@ _EXPORTS = {
         "normalize_bipartition", "partial_transpose_eigenvalue", "ppt_crossover",
     ),
     "spiders": (
-        "Spider", "SpiderDecomposition", "SpiderValidation", "best_center_extraction",
-        "decomposition_lines", "extract_spiders", "grid_spiders", "spider_guarantee",
+        "Spider", "SpiderDecomposition", "SpiderValidation", "decomposition_lines", "extract_spiders", "grid_spiders", "spider_guarantee",
         "validate_spiders",
     ),
 }

@@ -116,12 +116,19 @@ def diameter(g: Graph):
     Merrier", VLDB 2014).  Sources go in blocks of 64 * W; each vertex holds
     W uint64 words of unseen source bits and W words of frontier bits, the
     sources whose BFS reached it at the current level.  One level ORs the
-    frontier words over each vertex's neighbours (a gather and a reduceat on
-    CSR arrays) and keeps the bits still unseen: level L sets exactly the
-    sources at distance L.  So the last level that sets a bit is the largest
-    eccentricity among the block's sources, and the diameter is the largest
-    over the blocks.  W is chosen so that every working array, the gathered
-    arcs x W block included, holds at most BLOCK_WORDS words.
+    frontier words over each vertex's neighbours and keeps the bits still
+    unseen: level L sets exactly the sources at distance L.  So the last
+    level that sets a bit is the largest eccentricity among the block's
+    sources, and the diameter is the largest over the blocks.
+
+    Rows are renumbered by degree (a stable argsort), so the rows of one
+    degree d form a contiguous slice of count rows.  Each such class stores
+    its neighbour ranks slot-major, count ranks per slot, so its gathered
+    frontier words reshape to (d, count * W) and one OR-reduce over axis 0
+    writes the class's reached rows.  A level is then two numpy calls per
+    distinct degree plus three, at most 2 * sqrt(2m) + 3, with no pass over
+    rows of one or two arcs.  W is chosen so that every working array, the
+    gathered arcs x W block included, holds at most BLOCK_WORDS words.
     """
     n = g.vertex_count
     if n <= 1:
@@ -130,19 +137,34 @@ def diameter(g: Graph):
         return INFINITE
     import numpy as np
 
-    # connected with n >= 2: no row of the CSR arrays is empty, which
-    # reduceat would misread
+    # connected with n >= 2: every degree is at least 1
     adjacency = g._adjacency
+    degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in adjacency], out=indptr[1:])
+    np.cumsum(degrees, out=indptr[1:])
     arcs = int(indptr[-1])
-    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=arcs)
-    starts = indptr[:-1]
+    neighbours = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=arcs)
+    order = np.argsort(degrees, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    values, counts = np.unique(degrees[order], return_counts=True)
     words = max(1, min(-(-n // 64), BLOCK_WORDS // max(arcs, n)))
     gathered = np.empty((arcs, words), dtype=np.uint64)
     frontier = np.empty((n, words), dtype=np.uint64)
     reached = np.empty((n, words), dtype=np.uint64)
     unseen = np.empty((n, words), dtype=np.uint64)
+    # per class: its neighbour ranks, its slice of gathered, that slice as
+    # (d, count * W), and its rows
+    classes = []
+    row = arc = 0
+    for d, count in zip(values.tolist(), counts.tolist()):
+        # slot-major: slot j of every row of the class, then slot j + 1
+        slots = indptr[order[row : row + count]] + np.arange(d)[:, None]
+        block = gathered[arc : arc + d * count]
+        ranks = rank[neighbours[slots.reshape(-1)]]
+        classes.append((ranks, block, block.reshape(d, count * words), row, row + count))
+        row += count
+        arc += d * count
     worst = 0
     for first in range(0, n, 64 * words):
         offsets = np.arange(min(n - first, 64 * words))
@@ -153,10 +175,11 @@ def diameter(g: Graph):
         np.invert(frontier, out=unseen)
         level = 0
         while True:
-            # every index is in range; mode="clip" only spares take() the
-            # buffered copy it makes for out= under the default mode="raise"
-            np.take(frontier, indices, axis=0, out=gathered, mode="clip")
-            np.bitwise_or.reduceat(gathered, starts, axis=0, out=reached)
+            for ranks, block, by_slot, a, b in classes:
+                # every index is in range; mode="clip" only spares take() the
+                # buffered copy it makes for out= under the default mode="raise"
+                np.take(frontier, ranks, axis=0, out=block, mode="clip")
+                np.bitwise_or.reduce(by_slot, axis=0, out=reached[a:b].reshape(-1))
             reached &= unseen
             if not reached.any():
                 break

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import spiders as spiders_mod
 from .channels import _saturating_pow2, path_teleport_visibility
-from .graphs import Graph, degree_stats, edge_connectivity, generate, shortest_path
+from .graphs import Graph, degree_stats, edge_connectivity, shortest_path
 
 if TYPE_CHECKING:
     from .hilbert import PureStateVector
@@ -360,48 +360,3 @@ def simulate_partial_distillation(
     followed by the run."""
     plan = plan_partial_distillation(g, subset, center)
     return run_partial_distillation(plan, p, target_state, uniform_legs, graph_id)
-
-
-@dataclass(frozen=True)
-class GrowthScanRow:
-    size: int
-    vertex_count: int
-    min_degree: int
-    edge_connectivity: int
-
-
-@dataclass(frozen=True)
-class GrowthScan:
-    family: str
-    rows: tuple[GrowthScanRow, ...]
-    verdict: str  # "obstructed" | "consistent" | "inconclusive"
-    note: str = "finite-sample evidence, not a proof"
-
-
-def connectivity_growth_scan(
-    family: str, sizes: Iterable[int], k: int | None = None, seed: int = 0
-) -> GrowthScan:
-    """Edge-connectivity trend along a graph family.
-
-    Constant edge connectivity along the scanned prefix is an obstruction to
-    distillability at scale; strict growth is consistent with it.  Either
-    verdict is finite-sample evidence only.
-    """
-    rows = []
-    for size in sizes:
-        g = generate(family, size, k=k, seed=seed)
-        stats = degree_stats(g)
-        rows.append(
-            GrowthScanRow(size, g.vertex_count, stats.minimum, edge_connectivity(g))
-        )
-    if len(rows) < 2:
-        verdict = "inconclusive"
-    else:
-        lam = [row.edge_connectivity for row in rows]
-        if all(b > a for a, b in zip(lam, lam[1:])):
-            verdict = "consistent"
-        elif all(b == lam[0] for b in lam):
-            verdict = "obstructed"
-        else:
-            verdict = "inconclusive"
-    return GrowthScan(family, tuple(rows), verdict)

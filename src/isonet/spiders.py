@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .graphs import (
+    INFINITE,
     Graph,
     GridGraphSpec,
     PathInGraph,
@@ -115,12 +116,12 @@ def extract_spiders(
         raise ValueError("center must belong to the target subset")
     if max_spiders is not None and max_spiders < 0:
         raise ValueError(f"max_spiders {max_spiders} is negative")
-    if not is_connected(g):
+    base_dist = _bfs_distances(g, center)
+    if INFINITE in base_dist:
         raise ValueError("premise violated: graph must be connected")
     # never binding when dmin is 1
     leg_length_bound = _leg_length_bound(degree_stats(g).minimum, g.vertex_count)
 
-    base_dist = _bfs_distances(g, center)
     targets = sorted(verts - {center}, key=lambda v: (base_dist[v], v))
 
     adjacency = g._adjacency
@@ -151,16 +152,28 @@ def _residual_leg(
     adjacency (one set per vertex, a subgraph of the sorted adjacency), or
     None when the residual separates them.
 
-    A BFS from the target labels distances until it labels the center: by
-    then every vertex nearer the target than the center is labelled, and
-    every unlabelled one lies at least as far.  Walking from the center to
-    the smallest residual neighbour one level closer, as
-    graphs.shortest_path does on a whole distance field, gives the same
-    path.  The cost is the edges the BFS reaches.
+    A BFS from the center labels distances until it labels the target, at
+    distance d; every vertex nearer the center is labelled by then.  The
+    layers of the shortest paths are collected back from the target: S_d =
+    {target}, and S_i is the set of residual neighbours of S_(i+1) at
+    center-distance i, so S_i holds exactly the vertices at center-distance
+    i and target-distance d - i.  The walk from the center then takes, at
+    each step, the first vertex of the sorted adjacency that is a residual
+    neighbour in the next layer.
+
+    Same path as graphs.shortest_path, which walks to the smallest neighbour
+    one step closer to the target.  Let current lie on a shortest path at
+    center-distance i.  A neighbour w of current has target-distance
+    d - i - 1 exactly when w is in S_(i+1): such a w is at center-distance
+    at least d - (d - i - 1) = i + 1 and at most i + 1.  So both walks pick
+    from the same set in the same order.
+
+    The center is searched from because its residual degree runs out first:
+    each spider takes m - 1 of its edges and one edge at each target.
     """
-    dist = {target: 0}
-    queue = deque([target])
-    while center not in dist:
+    dist = {center: 0}
+    queue = deque([center])
+    while target not in dist:
         if not queue:
             return None
         u = queue.popleft()
@@ -169,28 +182,17 @@ def _residual_leg(
             if w not in dist:
                 dist[w] = nxt
                 queue.append(w)
+    level = dist[target]
+    layers = [None] * level + [{target}]
+    for i in range(level - 1, 0, -1):
+        layers[i] = {w for u in layers[i + 1] for w in residual[u] if dist.get(w) == i}
     vertices = [center]
-    current, level = center, dist[center]
-    while level:
-        level -= 1
+    current = center
+    for layer in layers[1:]:
         reachable = residual[current]
-        current = next(w for w in adjacency[current] if dist.get(w) == level and w in reachable)
+        current = next(w for w in adjacency[current] if w in layer and w in reachable)
         vertices.append(current)
     return tuple(vertices)
-
-
-def best_center_extraction(g: Graph, subset: Iterable) -> SpiderDecomposition:
-    """Run extract_spiders for every center choice and keep the largest yield.
-
-    A convenience sweep only; no optimality claim is attached to the winner.
-    """
-    verts = _check_subset(g, subset)
-    best = None
-    for center in sorted(verts):
-        dec = extract_spiders(g, verts, center)
-        if best is None or dec.count > best.count:
-            best = dec
-    return best
 
 
 def grid_spiders(spec: GridGraphSpec, subset: Iterable, center: int) -> SpiderDecomposition:

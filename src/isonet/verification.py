@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING
 
 from . import protocol as protocol_mod
@@ -274,6 +274,57 @@ def planted_cut_graph(rng: random.Random, a: int, b: int, k: int) -> Graph:
     vertex ids shuffled; for k < min(a, b) - 1 the k edges are the only
     minimum cut, below the minimum degree."""
     return _planted_cut(rng, complete_graph(a), complete_graph(b), k)
+
+
+def _hub_and_paths(leaves: int, tails) -> Graph:
+    """Hub 0 with the given number of leaves and one path of each length in
+    tails hanging from it: a broom for one tail, a hub with long tails for
+    two."""
+    edges = [(0, v) for v in range(1, leaves + 1)]
+    n = leaves + 1
+    for length in tails:
+        path = [0, *range(n, n + length)]
+        edges += zip(path, path[1:])
+        n += length
+    return Graph(n, edges)
+
+
+def _caterpillar(rng: random.Random, spine: int, most_leaves: int) -> Graph:
+    """A path of spine vertices, each carrying 0..most_leaves leaves of its
+    own, with the vertex ids shuffled: many degree classes on a long path."""
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    n = spine
+    for v in range(spine):
+        k = rng.randint(0, most_leaves)
+        edges += ((v, leaf) for leaf in range(n, n + k))
+        n += k
+    return _shuffled_graph(rng, n, edges)
+
+
+def _lollipop(clique: int, tail: int) -> tuple[Graph, int]:
+    """K_clique with two paths of tail edges, from vertices 0 and 1, that
+    meet at one target vertex; returns the graph and that target."""
+    target = clique + 2 * (tail - 1)
+    edges = list(complete_graph(clique).edges)
+    for start, first in ((0, clique), (1, clique + tail - 1)):
+        path = [start, *range(first, first + tail - 1), target]
+        edges += zip(path, path[1:])
+    return Graph(target + 1, edges), target
+
+
+def _clique_chain(dmin: int, k: int) -> Graph:
+    """Cliques of sizes 1, dmin, 1, then k times 1, dmin - 1, 1, then 1, dmin,
+    1, each wholly joined to the next: minimum degree dmin and diameter
+    3k + 5, within 6/(dmin + 1) of the bound 3n/(dmin + 1) - 1."""
+    sizes = [1, dmin, 1, *[1, dmin - 1, 1] * k, 1, dmin, 1]
+    bounds = [0, *accumulate(sizes)]
+    edges = []
+    for i in range(len(sizes)):
+        block = range(bounds[i], bounds[i + 1])
+        edges += combinations(block, 2)
+        if i + 1 < len(sizes):
+            edges += ((u, v) for u in block for v in range(bounds[i + 1], bounds[i + 2]))
+    return Graph(bounds[-1], edges)
 
 
 def _low_degree_graphs(rng: random.Random) -> list[tuple[str, Graph]]:
@@ -683,6 +734,12 @@ def check_diameter_all_sources(seed, tol_scale, fault) -> CheckResult:
         graphs.append((f"connected-{trial}", random_connected_graph(rng, max_vertices=40)))
         n = rng.randint(2, 40)
         graphs.append((f"random-{trial}", random_graph(rng, n, rng.choice([0.05, 0.1, 0.3]))))
+    # many degree classes, long diameters
+    graphs += [(f"broom-{k}-{h}", _hub_and_paths(k, [h])) for k, h in ((30, 200), (200, 40))]
+    graphs.append(("hub-100-tails-150", _hub_and_paths(100, [150, 150])))
+    for spine, most in ((60, 12), (150, 4), (30, 30)):
+        graphs.append((f"caterpillar-{spine}-{most}", _caterpillar(rng, spine, most)))
+    graphs += [("cycle-659", cycle_graph(659)), ("path-1200", path_graph(1200))]
     for graph_id, g in graphs:
         fast = diameter(g) + fault
         twin = _per_source_diameter(g)
@@ -697,7 +754,8 @@ def check_diameter_all_sources(seed, tol_scale, fault) -> CheckResult:
         "diameter-all-sources",
         True,
         f"{len(graphs)} graphs: families, n = 0..2, isolated vertices, word "
-        "boundaries at n = 63..65 and 129, random connected and not; exact",
+        "boundaries at n = 63..65 and 129, random connected and not, brooms, "
+        "caterpillars, a hub with two long tails, cycle-659 and path-1200; exact",
     )
 
 
@@ -716,6 +774,10 @@ _GUARANTEE_GRAPHS = [
 
 
 def check_spider_guarantee(seed, tol_scale, fault) -> CheckResult:
+    """Extraction meets the guaranteed count and leg bound, validates, and
+    stays under the ceiling deg(center) // (m - 1): each spider takes m - 1
+    of the center's edges.  Under a fault the ceiling reads one lower; it is
+    tight on K6, where every center edge starts a leg."""
     for graph_id, build in _GUARANTEE_GRAPHS:
         g = build()
         n = g.vertex_count
@@ -734,6 +796,14 @@ def check_spider_guarantee(seed, tol_scale, fault) -> CheckResult:
                             f"{graph_id} subset={subset} center={center}: "
                             f"{dec.count} spiders < guaranteed {guarantee.count}",
                         )
+                    ceiling = g.degree(center) // (m - 1) - (fault > 0)
+                    if dec.count > ceiling:
+                        return CheckResult(
+                            "spider-guarantee",
+                            False,
+                            f"{graph_id} subset={subset} center={center}: "
+                            f"{dec.count} spiders > ceiling {ceiling}",
+                        )
                     report = spiders_mod.validate_spiders(dec)
                     if not report.ok:
                         return CheckResult(
@@ -750,15 +820,17 @@ def check_spider_guarantee(seed, tol_scale, fault) -> CheckResult:
                                 f"length {spider.max_leg_length()} above 5/c",
                             )
     return CheckResult(
-        "spider-guarantee", True, "complete and grid ladders, all floors and leg bounds"
+        "spider-guarantee",
+        True,
+        "complete and grid ladders, all floors, ceilings and leg bounds",
     )
 
 
 def check_spider_residual(seed, tol_scale, fault) -> CheckResult:
     """extract_spiders on its residual adjacency against the rebuild twin:
-    every center of each subset, max_spiders None, 1 and 3 on the families
-    and one of them in turn on the random graphs; under a fault the twin
-    drops its last spider."""
+    every center of each subset below 100 vertices and the first one above,
+    max_spiders None, 1 and 3 on the small families and one of them in turn
+    on the random graphs; under a fault the twin drops its last spider."""
     name = "spider-residual"
     rng = random.Random(seed + 8)
     graphs = []  # (graph id, graph, subset, max_spiders values)
@@ -770,6 +842,11 @@ def check_spider_residual(seed, tol_scale, fault) -> CheckResult:
         graphs.append((f"grid-{n}-{k}", grid_graph(n, k), _spread_subset(n**k, m), every))
     for n in (3, 4, 9, 40):
         graphs.append((f"cycle-{n}", cycle_graph(n), _spread_subset(n, 3), every))
+    graphs.append(("star-9", star_graph(9), (0, 3, 8), every))  # centred at its hub
+    lollipop, target = _lollipop(100, 30)
+    graphs.append(("lollipop-100-30", lollipop, (0, target), (None,)))
+    graphs.append(("complete-100", complete_graph(100), _spread_subset(100, 3), (None,)))
+    graphs.append(("complete-100", complete_graph(100), _spread_subset(100, 9), (None,)))
     for trial in range(300):
         n = rng.randint(3, 30)
         g = random_connected_graph(rng, max_vertices=n)
@@ -780,7 +857,8 @@ def check_spider_residual(seed, tol_scale, fault) -> CheckResult:
         graphs.append((f"random-{trial}", g, subset, (every[trial % 3],)))
     cases = 0
     for graph_id, g, subset, limits in graphs:
-        for center in subset:
+        # from 100 vertices on, one center: there the twin takes 0.6-0.8 s
+        for center in subset if g.vertex_count < 100 else subset[:1]:
             for max_spiders in limits:
                 cases += 1
                 fast = spiders_mod.extract_spiders(g, subset, center, max_spiders)
@@ -801,8 +879,9 @@ def check_spider_residual(seed, tol_scale, fault) -> CheckResult:
     return CheckResult(
         name,
         True,
-        f"{cases} extractions on {len(graphs)} graphs (complete, grids 4^3, 4^4 and "
-        "12^2, cycles, random of several densities), every center: "
+        f"{cases} extractions on {len(graphs)} graphs (complete up to K100 with m = 9, "
+        "grids 4^3, 4^4 and 12^2, cycles, a star, a lollipop, random of several "
+        "densities), every center below 100 vertices: "
         "decomposition lines equal the rebuild twin's",
     )
 
@@ -824,7 +903,9 @@ def check_grid_spider_construction(seed, tol_scale, fault) -> CheckResult:
             subset = _spread_subset(spec.order, m)
             if len(subset) != m:
                 continue
-            floor_count = ((n - 1) // (m - 1) - 1) * k
+            # the construction meets the floor exactly; under a fault the
+            # floor reads one higher
+            floor_count = ((n - 1) // (m - 1) - 1) * k + (fault > 0)
             for center in subset:
                 dec = spiders_mod.grid_spiders(spec, subset, center)
                 if dec.count < floor_count:
@@ -1026,18 +1107,23 @@ def check_diameter_bound(seed, tol_scale, fault) -> CheckResult:
     graphs += [cycle_graph(n) for n in range(3, 17)]
     graphs += [grid_graph(n, k) for n, k in ((2, 2), (3, 2), (5, 2), (2, 3), (3, 3))]
     graphs += [random_connected_graph(rng) for _ in range(100)]
+    # within 6/(dmin + 1) < 1 of the bound, so that a bound one lower fails
+    graphs += [_clique_chain(dmin, k) for dmin, k in ((6, 1), (9, 3))]
     for g in graphs:
         dmin = degree_stats(g).minimum
         if dmin <= 1 or not is_connected(g):
             continue
-        bound = 3 * g.vertex_count / (dmin + 1) - 1
+        # under a fault the bound reads one lower
+        bound = 3 * g.vertex_count / (dmin + 1) - 1 - (fault > 0)
         if diameter(g) > bound:
             return CheckResult(
                 "diameter-bound",
                 False,
                 f"diam {diameter(g)} > {bound:.3f} on {sorted(g.edges)}",
             )
-    return CheckResult("diameter-bound", True, "all generated graphs with dmin > 1")
+    return CheckResult(
+        "diameter-bound", True, "all generated graphs with dmin > 1, clique chains near the bound"
+    )
 
 
 # name -> (module tag, check); the tag makes e.g. --filter spectra work

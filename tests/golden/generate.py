@@ -1,7 +1,8 @@
 """Write the golden corpora under tests/golden/: the exit code and the
 stdout sha256 of each `spider` and `protocol` invocation in CASES
-(spider_protocol.json) and of each `graph` invocation in GRAPH_CASES
-(graph.json).
+(spider_protocol.json), of each `graph` invocation in GRAPH_CASES
+(graph.json) and of each `ppt-scan` invocation in PPT_CASES
+(ppt_scan.json).
 
     PYTHONPATH=src python tests/golden/generate.py
 
@@ -109,6 +110,12 @@ GRAPH_CASES = [
     # a disconnected graph from an edge-list file: a triangle, a K4, an
     # edge and an isolated vertex
     ["graph", "--edge-list", "tests/golden/disconnected.edges"],
+    # long diameters and many degree classes: a broom (a hub with 50 leaves
+    # and a 1000-edge handle) from an edge-list file
+    _family("cycle", 659),
+    _family("path", 1200),
+    _family("tree", 300, "--seed", "3"),
+    ["graph", "--edge-list", "tests/golden/broom.edges"],
     # usage and input errors
     _family("grid", 4),
     _family("grid", 1, "--k", "3"),
@@ -119,7 +126,56 @@ GRAPH_CASES = [
     ["graph", "--edge-list", "tests/golden/no-such-file.edges"],
 ]
 
-CORPORA = {"spider_protocol.json": CASES, "graph.json": GRAPH_CASES}
+
+
+def _scan(n, p, w, *extra):
+    return ["ppt-scan", "--n", n, "--p", p, "--w", str(w), *extra]
+
+
+HUGE = str(10**400)
+
+PPT_CASES = [
+    # p from 1e-9 to 0.9999, w from 1 to 8
+    _scan("2:40", "0.5", 1),
+    _scan("3:30", "1e-9", 1),
+    _scan("10:20", "0.000001,0.001,0.1", 2),
+    _scan("5:60", "0.9", 4),
+    _scan("9:50", "0.99,0.999", 8),
+    _scan("2,3,5,8,13,21,34,55,89", "0.7", 1),
+    _scan("6:12", "0.3,0.6,0.95", 5),
+    _scan("40,80,160", "0.95", 7),
+    _scan("20:25", "0.999999", 6),
+    _scan("100,1000,10000", "0.9999", 1),
+    _scan("50", "0.8", 3, "--seed", "7"),
+    _scan("2:4", "0.5,0.5", 1),
+    _scan("4,5,6,", "0.9,", 1),
+    # the rows around a crossover: n0(0.99, 3) = 3153, n0(0.9999, 1) =
+    # 198054, n0(0.9999, 4) = 792216
+    _scan("3150:3156", "0.99", 3),
+    _scan("198050:198060", "0.9999", 1),
+    _scan("792210:792220", "0.9999", 4),
+    # minimum eigenvalues that underflow a float
+    _scan("700,800", "0.9", 1),
+    _scan("1100", "0.5", 550),
+    _scan("500,600,700", "0.5", 2),
+    # a crossover at n0 = 42,832,822,558
+    _scan("2:3", "0.999999999", 1),
+    # usage and input errors
+    _scan("2:3", "0.9", 0),
+    _scan("1:3", "0.9", 1),
+    _scan("2:3", "1.0", 1),
+    _scan("2:3", "0", 1),
+    _scan("2:3", "nan", 1),
+    _scan("5:3", "0.9", 1),
+    _scan("abc", "0.9", 1),
+    _scan("2:3", ",", 1),
+    _scan("2:3", "0.9", HUGE),
+    _scan(str(10**400 + 1), "0.9", HUGE),
+    ["ppt-scan", "--n", "2:3"],
+    ["ppt-scan", "--n", "2:3", "--p", "0.9", "--w", "x"],
+]
+
+CORPORA = {"spider_protocol.json": CASES, "graph.json": GRAPH_CASES, "ppt_scan.json": PPT_CASES}
 
 
 def run(argv) -> dict:

@@ -7,6 +7,8 @@ runtime budgets assert them too.
 
 import time
 
+import pytest
+
 from isonet import verification
 
 _TIMED = {
@@ -16,6 +18,16 @@ _TIMED = {
     "protocol-fidelity-closed-form": 30.0,
     "ppt-sign-test": 30.0,
     "ppt-crossover-gallop": 30.0,
+}
+
+# checks that ignore an injected fault; every other check must fail under one
+_FAULT_BLIND = {
+    "teleported-ghz-closed-form",
+    "ghz-basis-eigenstructure",
+    "ptranspose-spectrum",
+    "path-teleportation-law",
+    "threshold-and-recurrence",
+    "protocol-trend",
 }
 
 
@@ -107,3 +119,9 @@ def test_c18_ppt_crossover_gallop_matches_linear_scan():
 
 def test_c19_spider_residual_matches_rebuild_twin():
     _run("spider-residual", "19")
+
+
+@pytest.mark.parametrize("name", [n for n in verification.CHECKS if n not in _FAULT_BLIND])
+def test_check_fails_under_an_injected_fault(name):
+    _, check = verification.CHECKS[name]
+    assert not check(verification.DEFAULT_SEED, 1.0, 1e-6).passed

@@ -37,3 +37,8 @@ def test_graph_stdout_matches_golden_corpus(capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN.parent.parent)  # edge-list paths are relative to the root
     mismatches = _mismatches("graph.json", capsys, 30)
     assert not mismatches, "\n".join(mismatches)
+
+
+def test_ppt_scan_stdout_matches_golden_corpus(capsys):
+    mismatches = _mismatches("ppt_scan.json", capsys, 30)
+    assert not mismatches, "\n".join(mismatches)

@@ -32,6 +32,7 @@ from isonet import (
 from isonet.graphs import _UnitFlow, edge_connectivity_exhaustive
 from isonet.verification import (
     _all_targets_edge_connectivity,
+    _hub_and_paths,
     _per_source_diameter,
     _remove_path_edges,
     max_edge_disjoint_paths,
@@ -152,6 +153,26 @@ def test_diameter_over_several_source_blocks(n, monkeypatch):
     tree = random_tree(n, seed=n)
     chorded = Graph(n, [*tree.edges, *(rng.sample(range(n), 2) for _ in range(n // 8))])
     for g in (path_graph(n), cycle_graph(n), tree, chorded, complete_graph(n)):
+        assert diameter(g) == _per_source_diameter(g)
+
+
+@st.composite
+def _hub_and_path_graphs(draw):
+    leaves = draw(st.integers(0, 80))
+    tails = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    g = _hub_and_paths(leaves, tails)
+    vertex = st.integers(0, g.vertex_count - 1)
+    chords = draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    return Graph(g.vertex_count, [*g.edges, *((u, v) for u, v in chords if u != v)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_hub_and_path_graphs())
+def test_diameter_on_hubs_and_paths_over_several_source_blocks(g):
+    # one word per vertex, so blocks of 64 sources; the hub's leaves and the
+    # chords' endpoints give several degree classes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "BLOCK_WORDS", 1)
         assert diameter(g) == _per_source_diameter(g)
 
 

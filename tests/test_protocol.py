@@ -12,7 +12,6 @@ from isonet import (
     DensityOperator,
     PureStateVector,
     complete_graph,
-    connectivity_growth_scan,
     cycle_graph,
     default_center,
     degree_stats,
@@ -326,19 +325,3 @@ def test_pure_target_fidelity_limits_and_validation():
         pure_target_fidelity(target, {0: 1.5})
     with pytest.raises(ValueError):
         pure_target_fidelity(random_pure_state((2, 3), np.random.default_rng(5)), {0: 0.5})
-
-
-def test_growth_scan_verdicts():
-    trees = connectivity_growth_scan("tree", [5, 8, 12], seed=1)
-    assert [row.edge_connectivity for row in trees.rows] == [1, 1, 1]
-    assert trees.verdict == "obstructed"
-
-    complete = connectivity_growth_scan("complete", [4, 6, 9])
-    assert complete.verdict == "consistent"
-
-    grids = connectivity_growth_scan("grid", [2, 3, 4, 5], k=2)
-    assert [row.edge_connectivity for row in grids.rows] == [2, 4, 6, 8]
-    assert grids.verdict == "consistent"
-
-    single = connectivity_growth_scan("cycle", [6])
-    assert single.verdict == "inconclusive"

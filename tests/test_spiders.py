@@ -11,7 +11,6 @@ from isonet import (
     PathInGraph,
     Spider,
     SpiderDecomposition,
-    best_center_extraction,
     complete_graph,
     decomposition_lines,
     degree_stats,
@@ -149,13 +148,6 @@ def test_star_graph_extraction_away_from_hub():
     assert dec.count == 0
     two = extract_spiders(star_graph(7), (1, 4), 1)
     assert two.count == 1
-
-
-def test_best_center_sweep():
-    g = complete_graph(10)
-    best = best_center_extraction(g, (0, 3, 7))
-    singles = [extract_spiders(g, (0, 3, 7), c) for c in (0, 3, 7)]
-    assert best.count == max(d.count for d in singles)
 
 
 @pytest.mark.parametrize("n,k,m", [(3, 2, 2), (5, 2, 3), (7, 2, 4), (4, 3, 2), (8, 3, 4)])
