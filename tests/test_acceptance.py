@@ -20,16 +20,6 @@ _TIMED = {
     "ppt-crossover-gallop": 30.0,
 }
 
-# checks that ignore an injected fault; every other check must fail under one
-_FAULT_BLIND = {
-    "teleported-ghz-closed-form",
-    "ghz-basis-eigenstructure",
-    "ptranspose-spectrum",
-    "path-teleportation-law",
-    "threshold-and-recurrence",
-    "protocol-trend",
-}
-
 
 def _run(name: str, label: str):
     # the check itself, not the filter: "ppt-crossover" also matches c18
@@ -121,7 +111,9 @@ def test_c19_spider_residual_matches_rebuild_twin():
     _run("spider-residual", "19")
 
 
-@pytest.mark.parametrize("name", [n for n in verification.CHECKS if n not in _FAULT_BLIND])
+@pytest.mark.parametrize(
+    "name", [n for n in verification.CHECKS if n not in verification.FAULT_BLIND]
+)
 def test_check_fails_under_an_injected_fault(name):
     _, check = verification.CHECKS[name]
     assert not check(verification.DEFAULT_SEED, 1.0, 1e-6).passed
