@@ -13,9 +13,7 @@ import importlib
 # Re-exported names by module, imported on first access (PEP 562), so that
 # `import isonet.cli` loads numpy only for the commands that use it
 _EXPORTS = {
-    "channels": (
-        "apply_noisy_teleport", "path_teleport_visibility",
-    ),
+    "channels": ("path_teleport_visibility",),
     "graphs": (
         "GRAPH_FAMILIES", "INFINITE", "DegreeStats", "Graph", "GridGraphSpec",
         "PathInGraph", "complete_graph", "cycle_graph", "degree_stats", "diameter",
@@ -36,11 +34,7 @@ _EXPORTS = {
         "recurrence_step", "run_partial_distillation", "simulate_partial_distillation",
         "visibility_from_fidelity", "visibility_threshold",
     ),
-    "spectra": (
-        "SpectrumIndex", "bipartition_r_index", "is_ppt_teleported_ghz",
-        "min_eigenvalue_teleported_ghz", "noise_overlap_closed",
-        "normalize_bipartition", "partial_transpose_eigenvalue", "ppt_crossover",
-    ),
+    "spectra": ("is_ppt_teleported_ghz", "min_eigenvalue_teleported_ghz", "ppt_crossover"),
     "spiders": (
         "Spider", "SpiderDecomposition", "SpiderValidation", "decomposition_lines", "extract_spiders", "grid_spiders", "spider_guarantee",
         "validate_spiders",

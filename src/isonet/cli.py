@@ -44,14 +44,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_min_eigenvalue(n: int, p: float, cut) -> str:
+def _fmt_min_eigenvalue(n: int, p: float, w: int) -> str:
     """_fmt of the minimum eigenvalue, unless it underflows to 0: then its
     sign and 12 significant digits with a decimal exponent, from log10|value|
     (float() of that text still reads 0.0)."""
-    value = min_eigenvalue_teleported_ghz(n, p, cut)
+    value = min_eigenvalue_teleported_ghz(n, p, w)
     if value != 0.0:
         return _fmt(value)
-    sign, log_abs = min_eigenvalue_log(n, p, cut)
+    sign, log_abs = min_eigenvalue_log(n, p, w)
     if sign == 0:
         return _fmt(value)
     log10_abs = log_abs / math.log(10.0)
@@ -193,7 +193,6 @@ def cmd_ppt_scan(args) -> int:
             raise ValueError("p must be < 1 for crossover (and > 0)")
     if any(n <= w for n in n_values):
         raise ValueError(f"every n must exceed w={w}")
-    cut = tuple(range(w))
     crossovers = {p: ppt_crossover(p, w) for p in p_values}
 
     def row(point):
@@ -203,8 +202,8 @@ def cmd_ppt_scan(args) -> int:
                 _fmt(n),
                 _fmt(p),
                 _fmt(w),
-                _fmt_min_eigenvalue(n, p, cut),
-                _fmt(is_ppt_teleported_ghz(n, p, cut)),
+                _fmt_min_eigenvalue(n, p, w),
+                _fmt(is_ppt_teleported_ghz(n, p, w)),
                 _fmt(n == crossovers[p]),
             ]
         )

@@ -471,25 +471,6 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-def edge_connectivity_exhaustive(g: Graph) -> int:
-    """Minimum edge-boundary size over all nontrivial vertex bipartitions.
-
-    Brute-force cross-check for edge_connectivity; enumerates all 2^(n-1)-1
-    bipartitions, so it is limited to small graphs.
-    """
-    n = g.vertex_count
-    if n < 2:
-        raise ValueError("edge connectivity needs at least two vertices")
-    if n > 20:
-        raise ValueError("exhaustive cut enumeration is limited to 20 vertices")
-    best = n * n
-    for mask in range((1 << (n - 1)) - 1):  # all proper sides containing n-1
-        side = mask | (1 << (n - 1))
-        boundary = sum(1 for u, v in g.edges if ((side >> u) & 1) != ((side >> v) & 1))
-        best = min(best, boundary)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Graph families
 # ---------------------------------------------------------------------------

@@ -13,17 +13,11 @@ import math
 import random
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import protocol as protocol_mod
 from . import spiders as spiders_mod
-from .channels import (
-    apply_noisy_teleport,
-    depolarized_ghz_component,
-    path_teleport_visibility,
-    star_teleport,
-    teleported_ghz_closed_form,
-)
+from .channels import path_teleport_visibility
 from .graphs import (
     INFINITE,
     Graph,
@@ -35,7 +29,6 @@ from .graphs import (
     degree_stats,
     diameter,
     edge_connectivity,
-    edge_connectivity_exhaustive,
     grid_graph,
     is_connected,
     path_graph,
@@ -44,21 +37,17 @@ from .graphs import (
     star_graph,
 )
 from .spectra import (
-    SpectrumIndex,
     _mixed_term,
     _ppt_sign_test,
     is_ppt_teleported_ghz,
     min_eigenvalue_teleported_ghz,
-    noise_overlap_closed,
-    noise_overlap_direct,
-    normalize_bipartition,
-    partial_transpose_eigenvalue,
     ppt_crossover,
-    teleported_ghz_spectrum,
 )
 
 if TYPE_CHECKING:
-    from .hilbert import PureStateVector
+    import numpy as np
+
+    from .hilbert import DensityOperator, PureStateVector
 
 DEFAULT_SEED = 20260810
 
@@ -68,6 +57,203 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+# ---------------------------------------------------------------------------
+# dense and exhaustive oracles: the routes that the closed forms replace
+# ---------------------------------------------------------------------------
+
+
+def apply_noisy_teleport(rho: DensityOperator, p: float, factor: int) -> DensityOperator:
+    """Send one tensor factor through the noisy teleportation channel.
+
+    Basis action on the chosen factor: |i><j| -> p|i><j| + (1-p) d_ij I/d.
+    """
+    import numpy as np
+
+    from .hilbert import DensityOperator, partial_trace
+
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"visibility {p} outside [0, 1]")
+    if not 0 <= factor < len(rho.dims):
+        raise ValueError(f"factor {factor} outside range [0, {len(rho.dims)})")
+    if p == 1.0:
+        return rho
+    d = rho.dims[factor]
+    if len(rho.dims) == 1:
+        mixed = rho.matrix.trace() * np.eye(d) / d
+        return DensityOperator(rho.dims, p * rho.matrix + (1.0 - p) * mixed)
+    rest = partial_trace(rho, [factor])
+    # rebuild tr_f(rho) (x) I/d with the identity back at position `factor`
+    dims_shuffled = rest.dims + (d,)
+    k = len(dims_shuffled)
+    product = np.kron(rest.matrix, np.eye(d) / d).reshape(dims_shuffled + dims_shuffled)
+    order = list(range(k - 1))
+    order.insert(factor, k - 1)
+    axes = order + [a + k for a in order]
+    mixed = product.transpose(axes).reshape(rho.total_dim, rho.total_dim)
+    return DensityOperator(rho.dims, p * rho.matrix + (1.0 - p) * mixed)
+
+
+def star_teleport(rho: DensityOperator, p: float) -> DensityOperator:
+    """Send every factor through the noisy teleportation channel independently."""
+    d = rho.dims[0]
+    if any(dim != d for dim in rho.dims):
+        raise ValueError(f"all factors must share one local dimension, got {rho.dims}")
+    for factor in range(len(rho.dims)):
+        rho = apply_noisy_teleport(rho, p, factor)
+    return rho
+
+
+def _component_diagonal(n: int, noisy_set: frozenset) -> np.ndarray:
+    import numpy as np
+
+    clean_mask = 0
+    for position in range(n):
+        if position not in noisy_set:
+            clean_mask |= 1 << (n - 1 - position)
+    k = len(noisy_set)
+    indices = np.arange(2**n)
+    diag = np.zeros(2**n)
+    diag[(indices & clean_mask) == 0] += 0.5 / 2**k
+    diag[(indices & clean_mask) == clean_mask] += 0.5 / 2**k
+    return diag
+
+
+def depolarized_ghz_component(n: int, noisy: Iterable[int]) -> DensityOperator:
+    """GHZ correlations on the clean qubits, white noise on the rest.
+
+    The noisy subset C (0-based qubit positions, nonempty and proper) is
+    fully depolarized while the remaining qubits keep the classical GHZ
+    mixture: (1/2)(|0..0><0..0| + |1..1><1..1|) (x) I_C / 2^|C|, with every
+    factor at its original position.  The result is diagonal.
+    """
+    import numpy as np
+
+    from .hilbert import DensityOperator
+
+    noisy_set = frozenset(int(c) for c in noisy)
+    if any(not 0 <= c < n for c in noisy_set):
+        raise ValueError(f"noisy subset {sorted(noisy_set)} outside range [0, {n})")
+    if not noisy_set or len(noisy_set) == n:
+        raise ValueError("noisy subset must be nonempty and proper")
+    return DensityOperator((2,) * n, np.diag(_component_diagonal(n, noisy_set).astype(complex)))
+
+
+def teleported_ghz_closed_form(n: int, p: float) -> DensityOperator:
+    """The n-qubit GHZ state after every share went through the channel.
+
+    Assembles p^n * GHZ  +  sum over k and noisy subsets C of
+    p^(n-k) (1-p)^k * (depolarized component for C)  +  (1-p)^n * I/2^n.
+    Subsets are accumulated in lexicographic order for reproducible sums.
+    """
+    import numpy as np
+
+    from .hilbert import DensityOperator, _require_capacity, ghz
+
+    if n < 2:
+        raise ValueError("GHZ state needs at least 2 qubits")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"visibility {p} outside [0, 1]")
+    total = 2**n
+    _require_capacity(total)
+    diag = np.zeros(total)
+    for k in range(1, n):
+        weight = p ** (n - k) * (1.0 - p) ** k
+        if weight == 0.0:
+            continue
+        for subset in combinations(range(n), k):
+            diag += weight * _component_diagonal(n, frozenset(subset))
+    diag += (1.0 - p) ** n / total
+    matrix = np.diag(diag.astype(complex))
+    matrix += p**n * ghz(n).density().matrix
+    return DensityOperator((2,) * n, matrix)
+
+
+def _spectrum_table(n: int, p: float, cut) -> dict[tuple[int, int], float]:
+    """Every eigenvalue of the partially transposed teleported GHZ state
+    across the qubits in cut, keyed by (basis integer j, sign).
+
+    The state is permutation invariant, so a cut holding qubit n-1 has it
+    swapped with the smallest qubit outside.  The bits of r then flag the
+    cut, qubit q at 2^(n-2-q), and the value at (j, sign) is mixed(w_j),
+    plus sign * p^n/2 at j = r, with w_j the Hamming weight of j.  The table
+    must sum to one.  Takes a nonempty proper cut of 0..n-1 only.
+    """
+    from .hilbert import ATOL_INVARIANT
+
+    subset = frozenset(cut)
+    if n - 1 in subset:
+        subset = (subset - {n - 1}) | {min(set(range(n)) - subset)}
+    r = sum(1 << (n - 2 - q) for q in subset)
+    shift = p**n / 2.0
+    table = {}
+    for j in range(2 ** (n - 1)):
+        mixed = _mixed_term(n, p, j.bit_count())
+        table[(j, 1)] = mixed + shift if j == r else mixed
+        table[(j, -1)] = mixed - shift if j == r else mixed
+    trace = math.fsum(table.values())
+    if abs(trace - 1.0) > ATOL_INVARIANT:
+        raise AssertionError(f"spectrum sums to {trace!r}, expected 1")
+    return table
+
+
+def noise_overlap_closed(n: int, p: float, j: int) -> float:
+    """Closed form of the noise-component overlap on basis vector j.
+
+    This is the expectation, on the j-th GHZ-type basis vector, of the sum of
+    all partially depolarized components of the teleported GHZ state; it
+    depends on j only through its Hamming weight w: the mixed term at w, less
+    the fully depolarized component and, for j = 0, the noiseless GHZ weight.
+    """
+    _check_overlap_args(n, p, j)
+    noiseless = p**n / 2 if j == 0 else 0.0
+    return _mixed_term(n, p, j.bit_count()) - ((1 - p) / 2) ** n - noiseless
+
+
+def noise_overlap_direct(n: int, p: float, j: int) -> float:
+    """Counting-form oracle for noise_overlap_closed.
+
+    Sums p^(n-k) ((1-p)/2)^k over the noisy-subset sizes k, weighted by the
+    number of subsets whose complement sees constant bits of j: subsets
+    containing all one-bits plus subsets containing all zero-bits.
+    """
+    _check_overlap_args(n, p, j)
+    w = j.bit_count()  # the implicit last bit of j is 0
+    total = 0.0
+    for k in range(1, n):
+        ones = math.comb(n - w, k - w) if k >= w else 0
+        zeros = math.comb(w, k - (n - w)) if k >= n - w else 0
+        total += (ones + zeros) * p ** (n - k) * ((1 - p) / 2) ** k
+    return 0.5 * total
+
+
+def _check_overlap_args(n: int, p: float, j: int):
+    if n < 2:
+        raise ValueError("need at least 2 qubits")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"visibility {p} outside [0, 1]")
+    if not 0 <= j < 2 ** (n - 1):
+        raise ValueError(f"index {j} outside [0, {2 ** (n - 1)})")
+
+
+def edge_connectivity_exhaustive(g: Graph) -> int:
+    """Minimum edge-boundary size over all nontrivial vertex bipartitions.
+
+    Brute-force cross-check for edge_connectivity; enumerates all 2^(n-1)-1
+    bipartitions, so it is limited to small graphs.
+    """
+    n = g.vertex_count
+    if n < 2:
+        raise ValueError("edge connectivity needs at least two vertices")
+    if n > 20:
+        raise ValueError("exhaustive cut enumeration is limited to 20 vertices")
+    best = n * n
+    for mask in range((1 << (n - 1)) - 1):  # all proper sides containing n-1
+        side = mask | (1 << (n - 1))
+        boundary = sum(1 for u, v in g.edges if ((side >> u) & 1) != ((side >> v) & 1))
+        best = min(best, boundary)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +566,8 @@ def check_teleported_ghz_closed_form(seed, tol_scale, fault) -> CheckResult:
         ghz_state = ghz(n).density()
         for p in (0.0, 0.3, 0.7, 0.9, 1.0):
             closed = teleported_ghz_closed_form(n, p).matrix
-            brute = star_teleport(ghz_state, p).matrix
+            # under a fault the dense route runs at p(1 - fault)
+            brute = star_teleport(ghz_state, p * (1 - fault)).matrix
             deviation = np.abs(closed - brute).max()
             if deviation > tol:
                 return CheckResult(
@@ -411,7 +598,8 @@ def check_ghz_basis_eigenstructure(seed, tol_scale, fault) -> CheckResult:
                     bits = {
                         (j >> (n - 2 - q)) & 1 if q < n - 1 else 0 for q in outside
                     }
-                    expected = 1.0 / 2 ** (k + 1) if len(bits) == 1 else 0.0
+                    # under a fault each nonzero overlap reads (1 + fault) too high
+                    expected = (1 + fault) / 2 ** (k + 1) if len(bits) == 1 else 0.0
                     value = np.vdot(vec, sigma @ vec).real
                     if abs(value - expected) > tol:
                         return CheckResult(
@@ -458,14 +646,9 @@ def check_ptranspose_spectrum(seed, tol_scale, fault) -> CheckResult:
             for cut in cuts:
                 transposed = partial_transpose(state, cut)
                 dense = np.sort(np.linalg.eigvalsh(transposed))
-                subset = normalize_bipartition(n, cut)
-                closed = np.sort(
-                    [
-                        partial_transpose_eigenvalue(SpectrumIndex(n, j, sign, subset), p)
-                        for j in range(2 ** (n - 1))
-                        for sign in (1, -1)
-                    ]
-                )
+                # under a fault the table is built at p(1 - fault)
+                table = _spectrum_table(n, p * (1 - fault), cut)
+                closed = np.sort(list(table.values()))
                 deviation = np.abs(dense - closed).max()
                 if deviation > tol:
                     return CheckResult(
@@ -478,9 +661,7 @@ def check_ptranspose_spectrum(seed, tol_scale, fault) -> CheckResult:
                         for sign in (1, -1):
                             vec = ghz_basis(n, j, sign).vector
                             value = np.vdot(vec, transposed @ vec).real
-                            ref = partial_transpose_eigenvalue(
-                                SpectrumIndex(n, j, sign, subset), p
-                            )
+                            ref = table[(j, sign)]
                             if abs(value - ref) > tol:
                                 return CheckResult(
                                     "ptranspose-spectrum",
@@ -506,9 +687,8 @@ def check_ppt_crossover(seed, tol_scale, fault) -> CheckResult:
             )
     for p in (0.5, 0.7, 0.9):
         for w in (1, 2):
-            cut = tuple(range(w))
             n0 = ppt_crossover(p, w)
-            if not is_ppt_teleported_ghz(n0, p, cut):
+            if not is_ppt_teleported_ghz(n0, p, w):
                 return CheckResult(
                     "ppt-crossover", False, f"p={p} w={w}: not PPT at n0={n0}"
                 )
@@ -516,7 +696,7 @@ def check_ppt_crossover(seed, tol_scale, fault) -> CheckResult:
                 return CheckResult(
                     "ppt-crossover", False, f"p={p} w={w}: class scan negative at n0={n0}"
                 )
-            if n0 - 1 >= w + 1 and is_ppt_teleported_ghz(n0 - 1, p, cut):
+            if n0 - 1 >= w + 1 and is_ppt_teleported_ghz(n0 - 1, p, w):
                 return CheckResult(
                     "ppt-crossover", False, f"p={p} w={w}: PPT already at n0-1={n0 - 1}"
                 )
@@ -618,9 +798,8 @@ def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> CheckResult:
             else:
                 p_values = [rng.uniform(1e-3, 1.0)]
             for p in p_values:
-                cut = tuple(range(w))
-                closed = min_eigenvalue_teleported_ghz(n, p, cut) + fault
-                table = teleported_ghz_spectrum(n, p, cut).min_eigenvalue()
+                closed = min_eigenvalue_teleported_ghz(n, p, w) + fault
+                table = min(_spectrum_table(n, p, range(w)).values())
                 if _relative_gap(closed, table) > tol:
                     return CheckResult(
                         "min-eigenvalue-closed-form",
@@ -632,7 +811,7 @@ def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> CheckResult:
         for p in (1e-9, 0.3, 0.5, 0.9, 0.9999, 1.0):
             scan = _class_scan_min_eigenvalues(n, p, {1, 2, 3, 4, n // 2, n - 1})
             for w, expected in sorted(scan.items()):
-                closed = min_eigenvalue_teleported_ghz(n, p, range(w)) + fault
+                closed = min_eigenvalue_teleported_ghz(n, p, w) + fault
                 if _relative_gap(closed, expected) > tol:
                     return CheckResult(
                         "min-eigenvalue-closed-form",
@@ -1157,14 +1336,7 @@ CHECKS = {
 
 # checks that ignore an injected fault; every other check must fail under one
 FAULT_BLIND = frozenset(
-    {
-        "teleported-ghz-closed-form",
-        "ghz-basis-eigenstructure",
-        "ptranspose-spectrum",
-        "path-teleportation-law",
-        "threshold-and-recurrence",
-        "protocol-trend",
-    }
+    {"path-teleportation-law", "threshold-and-recurrence", "protocol-trend"}
 )
 
 

@@ -1,8 +1,8 @@
 """Write the golden corpora under tests/golden/: the exit code and the
 stdout sha256 of each `spider` and `protocol` invocation in CASES
 (spider_protocol.json), of each `graph` invocation in GRAPH_CASES
-(graph.json) and of each `ppt-scan` invocation in PPT_CASES
-(ppt_scan.json).
+(graph.json), of each `ppt-scan` invocation in PPT_CASES (ppt_scan.json)
+and of each `verify` invocation in VERIFY_CASES (verify.json).
 
     PYTHONPATH=src python tests/golden/generate.py
 
@@ -175,7 +175,37 @@ PPT_CASES = [
     ["ppt-scan", "--n", "2:3", "--p", "0.9", "--w", "x"],
 ]
 
-CORPORA = {"spider_protocol.json": CASES, "graph.json": GRAPH_CASES, "ppt_scan.json": PPT_CASES}
+
+def _verify(*extra):
+    return ["verify", *extra]
+
+
+VERIFY_CASES = [
+    # cheap checks that run the dense and exhaustive oracles: the star
+    # channel, the depolarized components, the noise overlaps, the spectrum
+    # table and the cut enumeration
+    *(_verify("--filter", name) for name in (
+        "teleported-ghz-closed-form",
+        "ghz-basis-eigenstructure",
+        "noise-overlap-forms",
+        "min-eigenvalue-closed-form",
+        "menger-duality",
+    )),
+    # an injected fault fails the comparison
+    _verify("--filter", "noise-overlap-forms", "--inject-fault"),
+    _verify("--filter", "menger-duality", "--inject-fault"),
+    # usage errors
+    _verify("--tol", "0"),
+    _verify("--tol", "nan"),
+    _verify("--filter", "no-such-check"),
+]
+
+CORPORA = {
+    "spider_protocol.json": CASES,
+    "graph.json": GRAPH_CASES,
+    "ppt_scan.json": PPT_CASES,
+    "verify.json": VERIFY_CASES,
+}
 
 
 def run(argv) -> dict:

@@ -4,7 +4,6 @@ import pytest
 from helpers import random_density_operator
 from isonet import (
     CapacityError,
-    apply_noisy_teleport,
     ghz,
     ghz_basis,
     isotropic,
@@ -12,7 +11,8 @@ from isonet import (
     partial_trace,
     path_teleport_visibility,
 )
-from isonet.channels import (
+from isonet.verification import (
+    apply_noisy_teleport,
     depolarized_ghz_component,
     star_teleport,
     teleported_ghz_closed_form,

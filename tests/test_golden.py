@@ -42,3 +42,8 @@ def test_graph_stdout_matches_golden_corpus(capsys, monkeypatch):
 def test_ppt_scan_stdout_matches_golden_corpus(capsys):
     mismatches = _mismatches("ppt_scan.json", capsys, 30)
     assert not mismatches, "\n".join(mismatches)
+
+
+def test_verify_stdout_matches_golden_corpus(capsys):
+    mismatches = _mismatches("verify.json", capsys, 10)
+    assert not mismatches, "\n".join(mismatches)

@@ -29,12 +29,13 @@ from isonet import (
     star_graph,
     write_edge_list,
 )
-from isonet.graphs import _UnitFlow, edge_connectivity_exhaustive
+from isonet.graphs import _UnitFlow
 from isonet.verification import (
     _all_targets_edge_connectivity,
     _hub_and_paths,
     _per_source_diameter,
     _remove_path_edges,
+    edge_connectivity_exhaustive,
     max_edge_disjoint_paths,
     planted_cut_graph,
     random_connected_graph,

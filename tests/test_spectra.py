@@ -8,32 +8,24 @@ from hypothesis import strategies as st
 
 from helpers import exact_min_eigenvalue
 from isonet import (
-    SpectrumIndex,
-    bipartition_r_index,
     ghz_basis,
     is_ppt,
     is_ppt_teleported_ghz,
     min_eigenvalue_teleported_ghz,
-    noise_overlap_closed,
-    normalize_bipartition,
     partial_transpose,
-    partial_transpose_eigenvalue,
     ppt_crossover,
 )
-from isonet.channels import depolarized_ghz_component, teleported_ghz_closed_form
 import isonet.spectra
-from isonet.spectra import (
-    _logaddexp,
-    _ppt_sign_test,
-    min_eigenvalue_log,
-    noise_overlap_direct,
-    spectrum_trace_by_weight,
-    teleported_ghz_spectrum,
-)
+from isonet.spectra import _logaddexp, _mixed_term, _ppt_sign_test, min_eigenvalue_log
 from isonet.verification import (
     _class_scan_min_eigenvalues,
     _linear_crossover,
     _per_call_sign_nonnegative,
+    _spectrum_table,
+    depolarized_ghz_component,
+    noise_overlap_closed,
+    noise_overlap_direct,
+    teleported_ghz_closed_form,
 )
 
 # visibilities in (0, 1], with the perfect and the near-perfect links pinned
@@ -43,24 +35,30 @@ _visibilities = st.one_of(
 )
 
 
-def test_normalize_bipartition():
-    assert normalize_bipartition(4, [0, 2]) == frozenset({0, 2})
-    # qubit n-1 inside the subset gets swapped with the smallest one outside
-    assert normalize_bipartition(4, [1, 3]) == frozenset({0, 1})
-    assert normalize_bipartition(5, [0, 4]) == frozenset({0, 1})
-    with pytest.raises(ValueError):
-        normalize_bipartition(3, [])
-    with pytest.raises(ValueError):
-        normalize_bipartition(3, [0, 1, 2])
-    with pytest.raises(ValueError):
-        normalize_bipartition(3, [5])
+def _shifted(table) -> list[int]:
+    """The basis integers whose (j, +) and (j, -) eigenvalues differ: r alone."""
+    return [j for (j, sign) in table if sign == 1 and table[(j, 1)] != table[(j, -1)]]
 
 
-def test_r_index_bits():
-    # qubit q flags bit with weight 2^(n-2-q)
-    assert bipartition_r_index(4, frozenset({0})) == 4
-    assert bipartition_r_index(4, frozenset({2})) == 1
-    assert bipartition_r_index(4, frozenset({0, 1, 2})) == 7
+def test_spectrum_table_relabels_the_last_qubit():
+    p = 0.6
+    # qubit q flags the bit of weight 2^(n-2-q): r = 0b101 for the cut {0, 2}
+    assert _shifted(_spectrum_table(4, p, [0, 2])) == [0b101]
+    # qubit n-1 inside the cut gets swapped with the smallest one outside
+    assert _spectrum_table(4, p, [1, 3]) == _spectrum_table(4, p, [0, 1])
+    assert _shifted(_spectrum_table(4, p, [1, 3])) == [0b110]
+    assert _spectrum_table(5, p, [0, 4]) == _spectrum_table(5, p, [0, 1])
+    assert _shifted(_spectrum_table(5, p, [0, 4])) == [0b1100]
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [min_eigenvalue_teleported_ghz, min_eigenvalue_log, is_ppt_teleported_ghz],
+)
+@pytest.mark.parametrize("w", [0, 5, 6])
+def test_spectra_reject_cut_sizes_outside_one_to_n(spectrum, w):
+    with pytest.raises(ValueError, match="cut size"):
+        spectrum(5, 0.9, w)
 
 
 def test_noise_overlap_zero_index_vanishes_at_unit_visibility():
@@ -96,40 +94,22 @@ def test_noise_overlap_matches_dense_expectation(n):
             assert abs(dense - noise_overlap_closed(n, p, j)) < 1e-12
 
 
-def test_spectrum_index_validation():
-    subset = frozenset({0})
-    idx = SpectrumIndex(4, 3, -1, subset)
-    assert idx.hamming_weight == 2
-    assert idx.r == 4
-    with pytest.raises(ValueError):
-        SpectrumIndex(4, 8, 1, subset)
-    with pytest.raises(ValueError):
-        SpectrumIndex(4, 1, 2, subset)
-
-
 def test_eigenvalue_at_unit_visibility():
     # the perfect GHZ state: the critical eigenvalue is -1/2, its partner +1/2
-    subset = normalize_bipartition(5, [1])
-    r = bipartition_r_index(5, subset)
-    assert partial_transpose_eigenvalue(SpectrumIndex(5, r, -1, subset), 1.0) == -0.5
-    assert partial_transpose_eigenvalue(SpectrumIndex(5, r, 1, subset), 1.0) == 0.5
-    assert partial_transpose_eigenvalue(SpectrumIndex(5, 0, 1, subset), 1.0) == 0.5
-    with pytest.raises(ValueError):
-        partial_transpose_eigenvalue(SpectrumIndex(5, 0, 1, subset), 0.0)
+    table = _spectrum_table(5, 1.0, [1])
+    r = 1 << (5 - 2 - 1)
+    assert table[(r, -1)] == -0.5
+    assert table[(r, 1)] == 0.5
+    assert table[(0, 1)] == 0.5
 
 
 def test_only_critical_pair_can_be_negative():
     for n in (3, 5, 7):
-        subset = normalize_bipartition(n, [0, 1])
-        r = bipartition_r_index(n, subset)
+        r = (1 << (n - 2)) | (1 << (n - 3))  # the cut {0, 1}
         for p in (0.2, 0.5, 0.9):
-            for j in range(2 ** (n - 1)):
-                for sign in (1, -1):
-                    value = partial_transpose_eigenvalue(
-                        SpectrumIndex(n, j, sign, subset), p
-                    )
-                    if (j, sign) != (r, -1):
-                        assert value > 0.0
+            for (j, sign), value in _spectrum_table(n, p, [0, 1]).items():
+                if (j, sign) != (r, -1):
+                    assert value > 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -137,26 +117,25 @@ def test_eigenvalues_match_dense_decomposition(n):
     for p in (0.3, 0.9):
         state = teleported_ghz_closed_form(n, p)
         for cut in [(0,)] + ([(0, 1)] if n >= 3 else []):
-            subset = normalize_bipartition(n, cut)
             dense = np.sort(np.linalg.eigvalsh(partial_transpose(state, cut)))
-            closed = np.sort(
-                [
-                    partial_transpose_eigenvalue(SpectrumIndex(n, j, s, subset), p)
-                    for j in range(2 ** (n - 1))
-                    for s in (1, -1)
-                ]
-            )
+            closed = np.sort(list(_spectrum_table(n, p, cut).values()))
             assert np.abs(dense - closed).max() < 1e-9
+
+
+def _trace_by_weight(n: int, p: float) -> float:
+    """Sum of all eigenvalues computed per Hamming-weight class: the sign
+    shifts at j = r cancel, so the cut does not enter."""
+    return math.fsum(2 * math.comb(n - 1, w) * _mixed_term(n, p, w) for w in range(n))
 
 
 def test_spectrum_table_sums_to_one():
     for n, p, cut in ((4, 0.37, [1]), (8, 0.9, [0, 2]), (12, 0.55, [3])):
-        spectrum = teleported_ghz_spectrum(n, p, cut)
-        assert len(spectrum.eigenvalues) == 2**n
-        assert abs(math.fsum(spectrum.eigenvalues.values()) - 1.0) <= 1e-12
+        table = _spectrum_table(n, p, cut)
+        assert len(table) == 2**n
+        assert abs(math.fsum(table.values()) - 1.0) <= 1e-12
     for n in (16, 20):
         for p in (0.3, 0.8):
-            assert abs(spectrum_trace_by_weight(n, p) - 1.0) <= 1e-12
+            assert abs(_trace_by_weight(n, p) - 1.0) <= 1e-12
 
 
 def test_min_eigenvalue_agrees_with_dense():
@@ -164,7 +143,7 @@ def test_min_eigenvalue_agrees_with_dense():
         for p in (0.4, 0.8):
             state = teleported_ghz_closed_form(n, p)
             dense = np.linalg.eigvalsh(partial_transpose(state, [0]))[0]
-            fast = min_eigenvalue_teleported_ghz(n, p, [0])
+            fast = min_eigenvalue_teleported_ghz(n, p, 1)
             assert abs(dense - fast) < 1e-10
 
 
@@ -175,10 +154,9 @@ def test_is_ppt_fast_path_matches_dense():
             for w in (1, 2):
                 if n - 1 < w:
                     continue
-                cut = tuple(range(w))
-                dense = is_ppt(state, cut)
-                fast = is_ppt_teleported_ghz(n, p, cut)
-                closed = min_eigenvalue_teleported_ghz(n, p, cut) >= 0.0
+                dense = is_ppt(state, tuple(range(w)))
+                fast = is_ppt_teleported_ghz(n, p, w)
+                closed = min_eigenvalue_teleported_ghz(n, p, w) >= 0.0
                 assert dense == fast == closed, (n, p, w)
 
 
@@ -186,8 +164,8 @@ def test_is_ppt_fast_path_matches_dense():
 @given(n=st.integers(2, 10), p=_visibilities, data=st.data())
 def test_min_eigenvalue_equals_full_table_minimum(n, p, data):
     cut = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
-    table = teleported_ghz_spectrum(n, p, cut).min_eigenvalue()
-    closed = min_eigenvalue_teleported_ghz(n, p, cut)
+    table = min(_spectrum_table(n, p, cut).values())
+    closed = min_eigenvalue_teleported_ghz(n, p, len(cut))
     assert math.isclose(closed, table, rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -196,14 +174,14 @@ def test_min_eigenvalue_equals_full_table_minimum(n, p, data):
 def test_min_eigenvalue_equals_class_scan(n, p, data):
     w = data.draw(st.integers(1, n - 1))
     scan = _class_scan_min_eigenvalues(n, p, [w])[w]
-    closed = min_eigenvalue_teleported_ghz(n, p, range(w))
+    closed = min_eigenvalue_teleported_ghz(n, p, w)
     assert math.isclose(closed, scan, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_perfect_ghz_is_npt_everywhere():
     for n in (2, 4, 6):
         for w in range(1, n):
-            assert not is_ppt_teleported_ghz(n, 1.0, tuple(range(w)))
+            assert not is_ppt_teleported_ghz(n, 1.0, w)
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,10 +213,9 @@ def test_crossover_anchor_and_boundaries():
     assert ppt_crossover(0.9, 1) == 55
     for p, w in ((0.5, 1), (0.5, 2), (0.7, 1), (0.7, 2), (0.9, 1), (0.9, 2)):
         n0 = ppt_crossover(p, w)
-        cut = tuple(range(w))
-        assert is_ppt_teleported_ghz(n0, p, cut)
+        assert is_ppt_teleported_ghz(n0, p, w)
         if n0 - 1 >= w + 1:
-            assert not is_ppt_teleported_ghz(n0 - 1, p, cut)
+            assert not is_ppt_teleported_ghz(n0 - 1, p, w)
     with pytest.raises(ValueError):
         ppt_crossover(1.0, 1)
     with pytest.raises(ValueError):
@@ -289,8 +266,8 @@ def test_crossover_takes_logarithmically_many_sign_tests(monkeypatch, p, w, n0):
     [(700, 0.9, 1), (800, 0.9, 1), (777, 0.9, 4), (1100, 0.5, 550), (1500, 0.5, 700)],
 )
 def test_min_eigenvalue_log_matches_exact_decimal_where_the_float_underflows(n, p, w):
-    assert min_eigenvalue_teleported_ghz(n, p, range(w)) == 0.0
-    sign, log_abs = min_eigenvalue_log(n, p, range(w))
+    assert min_eigenvalue_teleported_ghz(n, p, w) == 0.0
+    sign, log_abs = min_eigenvalue_log(n, p, w)
     exact = exact_min_eigenvalue(n, p, w)
     assert sign == (1 if exact > 0 else -1)
     assert math.isclose(log_abs, float(abs(exact).ln()), rel_tol=1e-14, abs_tol=0.0)
@@ -309,12 +286,5 @@ def test_spectrum_handles_last_qubit_in_cut():
     n, p = 5, 0.6
     state = teleported_ghz_closed_form(n, p)
     dense = np.sort(np.linalg.eigvalsh(partial_transpose(state, [1, 4])))
-    subset = normalize_bipartition(n, [1, 4])
-    closed = np.sort(
-        [
-            partial_transpose_eigenvalue(SpectrumIndex(n, j, s, subset), p)
-            for j in range(2 ** (n - 1))
-            for s in (1, -1)
-        ]
-    )
+    closed = np.sort(list(_spectrum_table(n, p, [1, 4]).values()))
     assert np.abs(dense - closed).max() < 1e-10
