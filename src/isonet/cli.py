@@ -17,6 +17,7 @@ from .graphs import (
     GRAPH_FAMILIES,
     INFINITE,
     GridGraphSpec,
+    check_size,
     degree_stats,
     diameter,
     edge_connectivity,
@@ -106,6 +107,7 @@ def _parse_int_values(spec: str) -> list[int]:
             raise ValueError
     except ValueError:
         raise ValueError(f"could not parse integer range {spec!r}") from None
+    check_size(hi - lo + 1, f"integer range {spec!r}")
     return list(range(lo, hi + 1))
 
 

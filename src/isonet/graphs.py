@@ -1,8 +1,11 @@
 """Simple undirected graphs: connectivity analytics and family generators.
 
-Vertices are dense 0-based integers.  Edges are stored canonically as
-(min, max) pairs so that edge-set equality and disjointness tests are exact.
-All operations are pure functions over immutable graphs.
+Vertices are dense 0-based integers.  A graph stores its vertex count and
+one representation, the adjacency: each vertex's neighbours as a sorted
+tuple, which keeps every traversal deterministic.  The edge set, (u, v)
+pairs with u < v, is derived from it on first read.  Graphs are immutable
+and compare by value.  Generators and the edge-list reader refuse sizes
+above MAX_SIZE before they allocate anything.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import bisect
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -21,12 +25,18 @@ INFINITE = math.inf  # sentinel for distances/diameter of disconnected graphs
 # 2^21 words is 16 MiB per array, whatever the graph
 BLOCK_WORDS = 1 << 21
 
+# the most vertices plus edges a generated or read graph may have, and the
+# longest integer range the CLI expands: about 90 times K150's 11,325; a
+# graph at the cap (K1413, or the path on 500,000 vertices) peaks near 230 MB
+MAX_SIZE = 10**6
+
 GRAPH_FAMILIES = ("complete", "cycle", "path", "star", "tree", "grid")
 
 
-def canonical_edge(u: int, v: int) -> tuple[int, int]:
-    """Return the (min, max) form of an undirected edge."""
-    return (u, v) if u < v else (v, u)
+def check_size(size: int, what: str) -> None:
+    """Refuse, before anything is built, a size above MAX_SIZE."""
+    if size > MAX_SIZE:
+        raise ValueError(f"{what} exceeds the size cap of {MAX_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -34,29 +44,30 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1."""
 
     vertex_count: int
-    edges: frozenset = field(default_factory=frozenset)
+    _adjacency: tuple
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges=()):
+        if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        canon = set()
-        for u, v in self.edges:
+        adj = [set() for _ in range(vertex_count)]
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex range")
-            canon.add(canonical_edge(u, v))
-        object.__setattr__(self, "edges", frozenset(canon))
-        adj = [[] for _ in range(self.vertex_count)]
-        for u, v in canon:
-            adj[u].append(v)
-            adj[v].append(u)
-        # sorted adjacency keeps every traversal in this module deterministic
+            adj[u].add(v)
+            adj[v].add(u)
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adj))
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edges as (u, v) pairs with u < v."""
+        return frozenset(_sorted_edges(self))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adjacency)) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -66,11 +77,17 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
+        return 0 <= u < self.vertex_count and v in self._adjacency[u]
 
     def _check_vertex(self, v: int):
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"vertex {v} outside range [0, {self.vertex_count})")
+
+
+def _sorted_edges(g: Graph):
+    """The edges (u, v), u < v, in lexicographic order, read off the sorted
+    adjacency."""
+    return ((u, v) for u, adjacent in enumerate(g._adjacency) for v in adjacent if u < v)
 
 
 class DegreeStats(NamedTuple):
@@ -223,9 +240,7 @@ class PathInGraph:
         return self.vertices[-1]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            canonical_edge(a, b) for a, b in zip(self.vertices, self.vertices[1:])
-        )
+        return tuple(tuple(sorted(e)) for e in zip(self.vertices, self.vertices[1:]))
 
     def is_path_in(self, g: Graph) -> bool:
         return all(g.has_edge(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
@@ -273,7 +288,7 @@ class _UnitFlow:
         self.to = []
         # an undirected unit edge becomes two antiparallel unit arcs 2i and
         # 2i+1, each acting as the residual arc of the other
-        for u, v in sorted(g.edges):
+        for u, v in _sorted_edges(g):
             self.head[u].append(len(self.to))
             self.to.append(v)
             self.head[v].append(len(self.to))
@@ -581,9 +596,13 @@ def grid_graph(n: int, k: int) -> Graph:
 
 
 def generate(family: str, n: int, k: int | None = None, seed: int = 0) -> Graph:
-    """Build a named graph family; see GRAPH_FAMILIES for the choices."""
+    """Build a named graph family; see GRAPH_FAMILIES for the choices.  Its
+    vertices plus edges, by the family's formula, must not exceed MAX_SIZE."""
     if family == "complete":
+        check_size(n + n * (n - 1) // 2, "complete graph")
         return complete_graph(n)
+    if family in ("cycle", "path", "star", "tree"):
+        check_size(2 * n, f"{family} graph")  # at most n edges
     if family == "cycle":
         return cycle_graph(n)
     if family == "path":
@@ -595,7 +614,12 @@ def generate(family: str, n: int, k: int | None = None, seed: int = 0) -> Graph:
     if family == "grid":
         if k is None:
             raise ValueError("grid family needs the tuple length k")
-        return grid_graph(n, k)
+        spec = GridGraphSpec(n, k)
+        # n**k >= 2**k, so capping the exponent at MAX_SIZE's bit length
+        # keeps the check exact without computing n**k for a huge k
+        order = n ** min(k, MAX_SIZE.bit_length())
+        check_size(order + order * k * (n - 1) // 2, "grid graph")
+        return spec.to_graph()
     raise ValueError(f"unknown graph family {family!r}")
 
 
@@ -606,7 +630,7 @@ def generate(family: str, n: int, k: int | None = None, seed: int = 0) -> Graph:
 
 def write_edge_list(g: Graph, stream) -> None:
     stream.write(f"{g.vertex_count} {g.edge_count}\n")
-    for u, v in sorted(g.edges):
+    for u, v in _sorted_edges(g):
         stream.write(f"{u} {v}\n")
 
 
@@ -618,6 +642,7 @@ def read_edge_list(stream) -> Graph:
         n, m = map(int, lines[0].split())
     except ValueError:
         raise ValueError(f"malformed header line {lines[0]!r}") from None
+    check_size(n + m, f"edge-list header {lines[0]!r}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = set()

@@ -1129,7 +1129,8 @@ def check_path_teleportation_law(seed, tol_scale, fault) -> CheckResult:
                 rho = isotropic(d, p)
                 for _ in range(length - 1):
                     rho = apply_noisy_teleport(rho, _visibility_of(rho), 1)
-                law = path_teleport_visibility(p, length)
+                # under a fault the law's visibility reads (1 - fault) too low
+                law = path_teleport_visibility(p, length) * (1 - fault)
                 deviation = np.abs(rho.matrix - isotropic(d, law).matrix).max()
                 if deviation > tol:
                     return CheckResult(
@@ -1183,9 +1184,12 @@ def check_protocol_trend(seed, tol_scale, fault) -> CheckResult:
     perfect = protocol_mod.simulate_partial_distillation(
         complete_graph(20), (0, 1, 2), 1.0, center=0
     )
-    if perfect.final_fidelity != 1.0:
+    # under a fault the expected fidelity reads fault too high
+    if perfect.final_fidelity != 1.0 + fault:
         return CheckResult(
-            "protocol-trend", False, f"p=1 fidelity {perfect.final_fidelity!r} != 1.0"
+            "protocol-trend",
+            False,
+            f"p=1 fidelity {perfect.final_fidelity!r} != {1.0 + fault!r}",
         )
     star = protocol_mod.simulate_partial_distillation(star_graph(8), (1, 2, 3), 0.95)
     if not star.necessary_condition_violated:
@@ -1335,9 +1339,7 @@ CHECKS = {
 }
 
 # checks that ignore an injected fault; every other check must fail under one
-FAULT_BLIND = frozenset(
-    {"path-teleportation-law", "threshold-and-recurrence", "protocol-trend"}
-)
+FAULT_BLIND = frozenset({"threshold-and-recurrence"})
 
 
 def run_checks(

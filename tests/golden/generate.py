@@ -89,6 +89,8 @@ CASES = [
 ]
 
 
+HUGE = str(10**400)
+
 
 def _family(family, n, *extra):
     return ["graph", "--family", family, "--n", str(n), *extra]
@@ -124,6 +126,11 @@ GRAPH_CASES = [
     ["graph"],
     ["graph", "--family", "hexagon", "--n", "6"],
     ["graph", "--edge-list", "tests/golden/no-such-file.edges"],
+    # sizes above graphs.MAX_SIZE, refused before anything is built
+    _family("complete", 100000),
+    _family("grid", 10, "--k", "9"),
+    _family("grid", 10, "--k", HUGE),
+    ["graph", "--edge-list", "tests/golden/oversize-header.edges"],
 ]
 
 
@@ -131,8 +138,6 @@ GRAPH_CASES = [
 def _scan(n, p, w, *extra):
     return ["ppt-scan", "--n", n, "--p", p, "--w", str(w), *extra]
 
-
-HUGE = str(10**400)
 
 PPT_CASES = [
     # p from 1e-9 to 0.9999, w from 1 to 8
@@ -173,6 +178,8 @@ PPT_CASES = [
     _scan(str(10**400 + 1), "0.9", HUGE),
     ["ppt-scan", "--n", "2:3"],
     ["ppt-scan", "--n", "2:3", "--p", "0.9", "--w", "x"],
+    # a range longer than graphs.MAX_SIZE, refused before it is expanded
+    ["ppt-scan", "--n", "2:1000000000", "--p", "0.9"],
 ]
 
 

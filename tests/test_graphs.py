@@ -19,10 +19,12 @@ from isonet import (
     diameter,
     distance,
     edge_connectivity,
+    extract_spiders,
     generate,
     grid_graph,
     is_connected,
     path_graph,
+    plan_partial_distillation,
     random_tree,
     read_edge_list,
     shortest_path,
@@ -49,6 +51,70 @@ def test_graph_canonicalizes_and_validates():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+
+
+def _canonical_then_sorted(n: int, edge_list: list) -> tuple[frozenset, tuple]:
+    """The edge set and adjacency by the route the graph once took: every
+    edge canonicalized to (min, max) into one set, then the sorted adjacency
+    built out of that set."""
+    canon = frozenset((u, v) if u < v else (v, u) for u, v in edge_list)
+    adjacency = [[] for _ in range(n)]
+    for u, v in canon:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return canon, tuple(tuple(sorted(a)) for a in adjacency)
+
+
+@st.composite
+def _edge_lists(draw):
+    """A vertex count and an edge list with repeated edges in both
+    orientations."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    flips = draw(st.lists(st.booleans(), min_size=len(repeats), max_size=len(repeats)))
+    return n, edges + [(v, u) if flip else (u, v) for (u, v), flip in zip(repeats, flips)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_edge_lists(), probe=st.tuples(st.integers(-3, 15), st.integers(-3, 15)))
+def test_sorted_adjacency_matches_canonical_edge_set_route(case, probe):
+    n, edge_list = case
+    g = Graph(n, edge_list)
+    canon, adjacency = _canonical_then_sorted(n, edge_list)
+    assert g._adjacency == adjacency
+    assert g.edges == canon
+    assert g.edge_count == len(canon)
+    u, v = probe
+    assert g.has_edge(u, v) == (((u, v) if u < v else (v, u)) in canon)
+    buffer = io.StringIO()
+    write_edge_list(g, buffer)
+    lines = [f"{n} {len(canon)}\n", *(f"{a} {b}\n" for a, b in sorted(canon))]
+    assert buffer.getvalue() == "".join(lines)
+    head, to = [[] for _ in range(n)], []
+    for a, b in sorted(canon):
+        head[a].append(len(to))
+        to.append(b)
+        head[b].append(len(to))
+        to.append(a)
+    flow = _UnitFlow(g)
+    assert (flow.to, flow.head) == (to, head)
+    twin = Graph(n, [(b, a) for a, b in reversed(edge_list)])
+    assert twin == g and hash(twin) == hash(g)
+    assert Graph(n + 1, edge_list) != g
+
+
+@pytest.mark.parametrize("g", [complete_graph(40), grid_graph(4, 4)], ids=["K40", "grid-4^4"])
+def test_analytics_never_build_the_edge_set(g):
+    degree_stats(g)
+    edge_connectivity(g)
+    diameter(g)
+    extract_spiders(g, (0, 5, 17), 0)
+    plan_partial_distillation(g, (0, 5, 17))
+    assert "edges" not in vars(g)
 
 
 def test_degree_stats_examples():
@@ -382,6 +448,12 @@ def test_generate_families_and_errors():
         generate("mystery", 4)
     with pytest.raises(ValueError):
         generate("grid", 4)
+    # just above graphs.MAX_SIZE vertices plus edges, refused before building
+    for family, n, k in (("complete", 1414, None), ("path", 500001, None), ("grid", 2, 17)):
+        with pytest.raises(ValueError, match="size cap"):
+            generate(family, n, k=k)
+    with pytest.raises(ValueError, match="size cap"):
+        generate("grid", 2, k=10**400)
 
 
 def test_connectivity_bounds_on_families():
@@ -414,6 +486,7 @@ def test_edge_list_round_trip():
         "2 1\n0 5\n",
         "2 5\n0 1\n",
         "x y\n",
+        "1000000000000 0\n",
     ],
 )
 def test_edge_list_rejects_malformed_input(text):
