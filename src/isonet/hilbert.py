@@ -79,9 +79,6 @@ class DensityOperator:
     def total_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def factor_count(self) -> int:
-        return len(self.dims)
-
 
 @dataclass(frozen=True)
 class PureStateVector:

@@ -552,11 +552,18 @@ def _low_degree_graphs(rng: random.Random) -> list[tuple[str, Graph]]:
 
 
 # ---------------------------------------------------------------------------
-# checks (one per acceptance criterion)
+# checks (one per acceptance criterion): each returns its pass detail and
+# raises _Counterexample at the first counterexample
 # ---------------------------------------------------------------------------
 
 
-def check_teleported_ghz_closed_form(seed, tol_scale, fault) -> CheckResult:
+class _Counterexample(Exception):
+    """A check's first counterexample; the message is its FAIL detail.
+
+    Not a ValueError, which the CLI reports as a usage error (exit 2)."""
+
+
+def check_teleported_ghz_closed_form(seed, tol_scale, fault) -> str:
     import numpy as np
 
     from .hilbert import ghz
@@ -570,15 +577,13 @@ def check_teleported_ghz_closed_form(seed, tol_scale, fault) -> CheckResult:
             brute = star_teleport(ghz_state, p * (1 - fault)).matrix
             deviation = np.abs(closed - brute).max()
             if deviation > tol:
-                return CheckResult(
-                    "teleported-ghz-closed-form",
-                    False,
-                    f"n={n} p={p}: max entrywise deviation {deviation:.3e} > {tol:.1e}",
+                raise _Counterexample(
+                    f"n={n} p={p}: max entrywise deviation {deviation:.3e} > {tol:.1e}"
                 )
-    return CheckResult("teleported-ghz-closed-form", True, "n in 2..6, p grid, <= 1e-10")
+    return "n in 2..6, p grid, <= 1e-10"
 
 
-def check_ghz_basis_eigenstructure(seed, tol_scale, fault) -> CheckResult:
+def check_ghz_basis_eigenstructure(seed, tol_scale, fault) -> str:
     import numpy as np
 
     from .hilbert import ghz_basis
@@ -602,18 +607,14 @@ def check_ghz_basis_eigenstructure(seed, tol_scale, fault) -> CheckResult:
                     expected = (1 + fault) / 2 ** (k + 1) if len(bits) == 1 else 0.0
                     value = np.vdot(vec, sigma @ vec).real
                     if abs(value - expected) > tol:
-                        return CheckResult(
-                            "ghz-basis-eigenstructure",
-                            False,
+                        raise _Counterexample(
                             f"n={n} C={noisy} j={j} sign={sign}: "
-                            f"got {value!r}, expected {expected!r}",
+                            f"got {value!r}, expected {expected!r}"
                         )
-    return CheckResult(
-        "ghz-basis-eigenstructure", True, "n <= 6, all subsets and basis vectors, exact"
-    )
+    return "n <= 6, all subsets and basis vectors, exact"
 
 
-def check_noise_overlap_forms(seed, tol_scale, fault) -> CheckResult:
+def check_noise_overlap_forms(seed, tol_scale, fault) -> str:
     tol = 1e-12 * tol_scale
     p_grid = [round(0.1 * i, 1) for i in range(11)]
     for n in range(2, 13):
@@ -622,15 +623,13 @@ def check_noise_overlap_forms(seed, tol_scale, fault) -> CheckResult:
                 closed = noise_overlap_closed(n, p, j) + fault
                 direct = noise_overlap_direct(n, p, j)
                 if abs(closed - direct) > tol:
-                    return CheckResult(
-                        "noise-overlap-forms",
-                        False,
-                        f"n={n} p={p} j={j}: closed {closed!r} vs direct {direct!r}",
+                    raise _Counterexample(
+                        f"n={n} p={p} j={j}: closed {closed!r} vs direct {direct!r}"
                     )
-    return CheckResult("noise-overlap-forms", True, "n <= 12, full index range, <= 1e-12")
+    return "n <= 12, full index range, <= 1e-12"
 
 
-def check_ptranspose_spectrum(seed, tol_scale, fault) -> CheckResult:
+def check_ptranspose_spectrum(seed, tol_scale, fault) -> str:
     import numpy as np
 
     from .hilbert import ghz_basis, partial_transpose
@@ -651,10 +650,8 @@ def check_ptranspose_spectrum(seed, tol_scale, fault) -> CheckResult:
                 closed = np.sort(list(table.values()))
                 deviation = np.abs(dense - closed).max()
                 if deviation > tol:
-                    return CheckResult(
-                        "ptranspose-spectrum",
-                        False,
-                        f"n={n} p={p} M={cut}: multiset deviation {deviation:.3e}",
+                    raise _Counterexample(
+                        f"n={n} p={p} M={cut}: multiset deviation {deviation:.3e}"
                     )
                 if n - 1 not in cut:
                     for j in range(2 ** (n - 1)):
@@ -663,59 +660,48 @@ def check_ptranspose_spectrum(seed, tol_scale, fault) -> CheckResult:
                             value = np.vdot(vec, transposed @ vec).real
                             ref = table[(j, sign)]
                             if abs(value - ref) > tol:
-                                return CheckResult(
-                                    "ptranspose-spectrum",
-                                    False,
+                                raise _Counterexample(
                                     f"n={n} p={p} M={cut} j={j} sign={sign}: "
-                                    f"pairing deviation {abs(value - ref):.3e}",
+                                    f"pairing deviation {abs(value - ref):.3e}"
                                 )
-    return CheckResult(
-        "ptranspose-spectrum", True, "n <= 8, singleton/doubleton cuts, <= 1e-9"
-    )
+    return "n <= 8, singleton/doubleton cuts, <= 1e-9"
 
 
-def check_ppt_crossover(seed, tol_scale, fault) -> CheckResult:
+def check_ppt_crossover(seed, tol_scale, fault) -> str:
     # each anchor by the search and by the linear twin (at p(1 - fault), which
     # moves the 0.9999 anchor by thousands)
     for p, expected in ((0.9, 55), (0.9999, 198054)):
         anchor, scanned = ppt_crossover(p, 1), _linear_crossover(p * (1 - fault), 1)
         if anchor != expected or scanned != expected:
-            return CheckResult(
-                "ppt-crossover",
-                False,
-                f"crossover({p}, 1) = {anchor}, linear scan {scanned}, expected {expected}",
+            raise _Counterexample(
+                f"crossover({p}, 1) = {anchor}, linear scan {scanned}, expected {expected}"
             )
     for p in (0.5, 0.7, 0.9):
         for w in (1, 2):
             n0 = ppt_crossover(p, w)
             if not is_ppt_teleported_ghz(n0, p, w):
-                return CheckResult(
-                    "ppt-crossover", False, f"p={p} w={w}: not PPT at n0={n0}"
-                )
+                raise _Counterexample(f"p={p} w={w}: not PPT at n0={n0}")
             if _class_scan_min_eigenvalues(n0, p, [w])[w] < 0.0:
-                return CheckResult(
-                    "ppt-crossover", False, f"p={p} w={w}: class scan negative at n0={n0}"
-                )
+                raise _Counterexample(f"p={p} w={w}: class scan negative at n0={n0}")
             if n0 - 1 >= w + 1 and is_ppt_teleported_ghz(n0 - 1, p, w):
-                return CheckResult(
-                    "ppt-crossover", False, f"p={p} w={w}: PPT already at n0-1={n0 - 1}"
-                )
-    return CheckResult("ppt-crossover", True, "anchors 55 and 198054 and exact boundaries")
+                raise _Counterexample(f"p={p} w={w}: PPT already at n0-1={n0 - 1}")
+    return "anchors 55 and 198054 and exact boundaries"
 
 
-def check_ppt_sign_test(seed, tol_scale, fault) -> CheckResult:
+def check_ppt_sign_test(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 6)
     compared = 0
 
-    def mismatch(p, w, ns):
+    def compare(p, w, ns):
         nonlocal compared
         test = _ppt_sign_test(p, w)
         for n in ns:
             compared += 1
             fast, twin = test(n), _per_call_sign_nonnegative(n, p * (1 - fault), w)
             if fast != twin:
-                return f"p={p!r} w={w} n={n}: sign test {fast}, per-call twin {twin}"
-        return None
+                raise _Counterexample(
+                    f"p={p!r} w={w} n={n}: sign test {fast}, per-call twin {twin}"
+                )
 
     # every n of a band above w and, up to p = 0.999 where the twin's own
     # scan stays cheap, the crossover and its neighbours on both sides
@@ -725,32 +711,23 @@ def check_ppt_sign_test(seed, tol_scale, fault) -> CheckResult:
             if p <= 0.999:
                 n0, scanned = ppt_crossover(p, w), _per_call_crossover(p * (1 - fault), w)
                 if n0 != scanned:
-                    return CheckResult(
-                        "ppt-sign-test",
-                        False,
-                        f"p={p!r} w={w}: ppt_crossover {n0}, per-call scan {scanned}",
+                    raise _Counterexample(
+                        f"p={p!r} w={w}: ppt_crossover {n0}, per-call scan {scanned}"
                     )
                 ns += range(max(w + 1, n0 - 3), n0 + 4)
-            failure = mismatch(p, w, ns)
-            if failure:
-                return CheckResult("ppt-sign-test", False, failure)
+            compare(p, w, ns)
     for _ in range(300):
         p = rng.choice([rng.uniform(1e-9, 1.0 - 1e-9), 1.0 - 10 ** rng.uniform(-6, -1)])
         w = rng.randint(1, 8)
-        failure = mismatch(p, w, [rng.randint(w + 1, 10 ** rng.randint(2, 7))])
-        if failure:
-            return CheckResult("ppt-sign-test", False, failure)
-    return CheckResult(
-        "ppt-sign-test",
-        True,
+        compare(p, w, [rng.randint(w + 1, 10 ** rng.randint(2, 7))])
+    return (
         f"{compared} (p, w, n): 10 visibilities x w = 1..6 over n = w+1..w+300 and "
         "n0 +- 3, 300 random up to n = 1e7; crossover equals the per-call scan "
-        "up to p = 0.999; exact",
+        "up to p = 0.999; exact"
     )
 
 
-def check_ppt_crossover_gallop(seed, tol_scale, fault) -> CheckResult:
-    name = "ppt-crossover-gallop"
+def check_ppt_crossover_gallop(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 7)
     # the search against the linear twin, exactly, where the twin stays cheap
     # (p <= 1/3 gives n0 = w+1; p = 0.9999 scans up to n0 = 1.6e6)
@@ -760,9 +737,7 @@ def check_ppt_crossover_gallop(seed, tol_scale, fault) -> CheckResult:
     for p, w in pairs:
         n0, scanned = ppt_crossover(p, w), _linear_crossover(p * (1 - fault), w)
         if n0 != scanned:
-            return CheckResult(
-                name, False, f"p={p!r} w={w}: ppt_crossover {n0}, linear scan {scanned}"
-            )
+            raise _Counterexample(f"p={p!r} w={w}: ppt_crossover {n0}, linear scan {scanned}")
     # beyond the twin's reach, up to p = 1 - 1e-12: the boundary alone
     high = [1 - 10.0**-k for k in range(5, 13)]
     high += [1 - 10 ** rng.uniform(-12, -4) for _ in range(40)]
@@ -771,18 +746,14 @@ def check_ppt_crossover_gallop(seed, tol_scale, fault) -> CheckResult:
             n0 = ppt_crossover(p, w)
             nonnegative = _ppt_sign_test(p * (1 - fault), w)
             if (n0 - 1 > w and nonnegative(n0 - 1)) or not nonnegative(n0):
-                return CheckResult(
-                    name, False, f"p={p!r} w={w}: sign test not switching at n0={n0}"
-                )
-    return CheckResult(
-        name,
-        True,
+                raise _Counterexample(f"p={p!r} w={w}: sign test not switching at n0={n0}")
+    return (
         f"{len(pairs)} (p, w) up to p = 0.9999 equal the linear scan; "
-        f"{8 * len(high)} up to p = 1 - 1e-12 fail at n0-1 and pass at n0",
+        f"{8 * len(high)} up to p = 1 - 1e-12 fail at n0-1 and pass at n0"
     )
 
 
-def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> CheckResult:
+def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> str:
     tol = 1e-12 * tol_scale
     rng = random.Random(seed + 3)
     grid = (0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)
@@ -801,10 +772,8 @@ def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> CheckResult:
                 closed = min_eigenvalue_teleported_ghz(n, p, w) + fault
                 table = min(_spectrum_table(n, p, range(w)).values())
                 if _relative_gap(closed, table) > tol:
-                    return CheckResult(
-                        "min-eigenvalue-closed-form",
-                        False,
-                        f"n={n} w={w} p={p!r}: closed {closed!r} vs table {table!r}",
+                    raise _Counterexample(
+                        f"n={n} w={w} p={p!r}: closed {closed!r} vs table {table!r}"
                     )
     # the class scan up to ~900 qubits, where the spectrum underflows
     for n in (11, 128, 501, 893):
@@ -813,20 +782,16 @@ def check_min_eigenvalue_closed_form(seed, tol_scale, fault) -> CheckResult:
             for w, expected in sorted(scan.items()):
                 closed = min_eigenvalue_teleported_ghz(n, p, w) + fault
                 if _relative_gap(closed, expected) > tol:
-                    return CheckResult(
-                        "min-eigenvalue-closed-form",
-                        False,
-                        f"n={n} w={w} p={p!r}: closed {closed!r} vs class scan {expected!r}",
+                    raise _Counterexample(
+                        f"n={n} w={w} p={p!r}: closed {closed!r} vs class scan {expected!r}"
                     )
-    return CheckResult(
-        "min-eigenvalue-closed-form",
-        True,
+    return (
         "table for n <= 10 (every cut size), class scan up to n = 893, "
-        "relative <= 1e-12",
+        "relative <= 1e-12"
     )
 
 
-def check_menger_duality(seed, tol_scale, fault) -> CheckResult:
+def check_menger_duality(seed, tol_scale, fault) -> str:
     rng = random.Random(seed)
     for trial in range(200):
         g = random_connected_graph(rng, max_vertices=10)
@@ -839,16 +804,14 @@ def check_menger_duality(seed, tol_scale, fault) -> CheckResult:
             for v in range(u + 1, g.vertex_count)
         )
         if not fast == brute == pairwise:
-            return CheckResult(
-                "menger-duality",
-                False,
+            raise _Counterexample(
                 f"trial {trial}: flow {fast}, cut enumeration {brute}, "
-                f"pairwise minimum {pairwise} on {sorted(g.edges)}",
+                f"pairwise minimum {pairwise} on {sorted(g.edges)}"
             )
-    return CheckResult("menger-duality", True, "200 random connected graphs, exact")
+    return "200 random connected graphs, exact"
 
 
-def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
+def check_edge_connectivity_reduction(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 4)
     graphs = [(f"complete-{n}", complete_graph(n)) for n in (2, 3, 4, 7, 16, 33, 60)]
     graphs += [(f"grid-{n}-{k}", grid_graph(n, k)) for n, k in ((4, 3), (3, 4), (5, 3), (4, 4))]
@@ -881,22 +844,18 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> CheckResult:
         fast = edge_connectivity(g) + fault
         twin = _all_targets_edge_connectivity(g)
         if fast != twin:
-            return CheckResult(
-                "edge-connectivity-reduction",
-                False,
+            raise _Counterexample(
                 f"{graph_id}: edge_connectivity {fast}, all-targets flows {twin} "
-                f"on {sorted(g.edges)}",
+                f"on {sorted(g.edges)}"
             )
-    return CheckResult(
-        "edge-connectivity-reduction",
-        True,
+    return (
         f"{len(graphs)} graphs: families, Hamming grids, random, disconnected, planted "
         "cuts between cliques and between grids, minimum degree <= 2 with bridges and "
-        "cut vertices; exact",
+        "cut vertices; exact"
     )
 
 
-def check_diameter_all_sources(seed, tol_scale, fault) -> CheckResult:
+def check_diameter_all_sources(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 5)
     graphs = [("empty-0", Graph(0)), ("empty-1", Graph(1)), ("empty-2", Graph(2))]
     graphs += [("edge-2", Graph(2, [(0, 1)])), ("isolated-5", Graph(5, [(0, 1), (1, 2), (2, 3)]))]
@@ -923,18 +882,14 @@ def check_diameter_all_sources(seed, tol_scale, fault) -> CheckResult:
         fast = diameter(g) + fault
         twin = _per_source_diameter(g)
         if fast != twin:
-            return CheckResult(
-                "diameter-all-sources",
-                False,
+            raise _Counterexample(
                 f"{graph_id}: all-sources BFS {fast}, per-source BFS {twin} "
-                f"on {sorted(g.edges)}",
+                f"on {sorted(g.edges)}"
             )
-    return CheckResult(
-        "diameter-all-sources",
-        True,
+    return (
         f"{len(graphs)} graphs: families, n = 0..2, isolated vertices, word "
         "boundaries at n = 63..65 and 129, random connected and not, brooms, "
-        "caterpillars, a hub with two long tails, cycle-659 and path-1200; exact",
+        "caterpillars, a hub with two long tails, cycle-659 and path-1200; exact"
     )
 
 
@@ -952,7 +907,7 @@ _GUARANTEE_GRAPHS = [
 ]
 
 
-def check_spider_guarantee(seed, tol_scale, fault) -> CheckResult:
+def check_spider_guarantee(seed, tol_scale, fault) -> str:
     """Extraction meets the guaranteed count and leg bound, validates, and
     stays under the ceiling deg(center) // (m - 1): each spider takes m - 1
     of the center's edges.  Under a fault the ceiling reads one lower; it is
@@ -967,51 +922,32 @@ def check_spider_guarantee(seed, tol_scale, fault) -> CheckResult:
                 if len(subset) != m:
                     continue
                 for center in subset:
+                    where = f"{graph_id} subset={subset} center={center}"
                     dec = spiders_mod.extract_spiders(g, subset, center)
                     if dec.count < guarantee.count:
-                        return CheckResult(
-                            "spider-guarantee",
-                            False,
-                            f"{graph_id} subset={subset} center={center}: "
-                            f"{dec.count} spiders < guaranteed {guarantee.count}",
+                        raise _Counterexample(
+                            f"{where}: {dec.count} spiders < guaranteed {guarantee.count}"
                         )
                     ceiling = g.degree(center) // (m - 1) - (fault > 0)
                     if dec.count > ceiling:
-                        return CheckResult(
-                            "spider-guarantee",
-                            False,
-                            f"{graph_id} subset={subset} center={center}: "
-                            f"{dec.count} spiders > ceiling {ceiling}",
-                        )
+                        raise _Counterexample(f"{where}: {dec.count} spiders > ceiling {ceiling}")
                     report = spiders_mod.validate_spiders(dec)
                     if not report.ok:
-                        return CheckResult(
-                            "spider-guarantee",
-                            False,
-                            f"{graph_id} subset={subset} center={center}: {report.failure}",
-                        )
+                        raise _Counterexample(f"{where}: {report.failure}")
                     for spider in dec.spiders:
                         if spider.max_leg_length() > guarantee.leg_length_bound:
-                            return CheckResult(
-                                "spider-guarantee",
-                                False,
-                                f"{graph_id} subset={subset} center={center}: leg "
-                                f"length {spider.max_leg_length()} above 5/c",
+                            raise _Counterexample(
+                                f"{where}: leg length {spider.max_leg_length()} above 5/c"
                             )
-    return CheckResult(
-        "spider-guarantee",
-        True,
-        "complete and grid ladders, all floors, ceilings and leg bounds",
-    )
+    return "complete and grid ladders, all floors, ceilings and leg bounds"
 
 
-def check_spider_residual(seed, tol_scale, fault) -> CheckResult:
+def check_spider_residual(seed, tol_scale, fault) -> str:
     """extract_spiders on its residual adjacency against the rebuild twin:
     every center of each subset with max_spiders None, 1 and 3 on the small
     families, one of those limits in turn on the random graphs, and the first
     center alone on the lollipop and K100; under a fault the twin drops its
     last spider."""
-    name = "spider-residual"
     rng = random.Random(seed + 8)
     graphs = []  # (graph id, graph, subset, centers, max_spiders values)
     every = (None, 1, 3)
@@ -1053,34 +989,28 @@ def check_spider_residual(seed, tol_scale, fault) -> CheckResult:
                 fast_lines = spiders_mod.decomposition_lines(fast)
                 twin_lines = spiders_mod.decomposition_lines(twin)
                 if fast_lines != twin_lines:
-                    return CheckResult(
-                        name,
-                        False,
+                    raise _Counterexample(
                         f"{graph_id} subset={subset} center={center} "
                         f"max_spiders={max_spiders}: residual {len(fast_lines)} legs "
                         f"({fast.count} spiders), rebuild {len(twin_lines)} legs "
-                        f"({twin.count} spiders)",
+                        f"({twin.count} spiders)"
                     )
-    return CheckResult(
-        name,
-        True,
+    return (
         f"{cases} extractions on {len(graphs)} graphs (complete up to K100 with m = 9, "
         "grids 4^3, 4^4 and 12^2, cycles, a star, a lollipop, random of several "
         "densities), every center but on the lollipop and K100: "
-        "decomposition lines equal the rebuild twin's",
+        "decomposition lines equal the rebuild twin's"
     )
 
 
-def check_grid_spider_construction(seed, tol_scale, fault) -> CheckResult:
+def check_grid_spider_construction(seed, tol_scale, fault) -> str:
     for n, k in ((3, 2), (5, 2), (7, 2), (8, 2), (3, 3), (4, 3), (8, 3)):
         spec = GridGraphSpec(n, k)
         g = spec.to_graph()
         stats = degree_stats(g)
         if not stats.minimum == stats.maximum == k * (n - 1):
-            return CheckResult(
-                "grid-spider-construction",
-                False,
-                f"grid({n},{k}): degrees {stats.minimum}..{stats.maximum} != {k * (n - 1)}",
+            raise _Counterexample(
+                f"grid({n},{k}): degrees {stats.minimum}..{stats.maximum} != {k * (n - 1)}"
             )
         for m in (2, 3, 4):
             if n < 2 * m - 1:
@@ -1094,30 +1024,20 @@ def check_grid_spider_construction(seed, tol_scale, fault) -> CheckResult:
             for center in subset:
                 dec = spiders_mod.grid_spiders(spec, subset, center)
                 if dec.count < floor_count:
-                    return CheckResult(
-                        "grid-spider-construction",
-                        False,
-                        f"grid({n},{k}) subset={subset}: {dec.count} < {floor_count}",
+                    raise _Counterexample(
+                        f"grid({n},{k}) subset={subset}: {dec.count} < {floor_count}"
                     )
                 report = spiders_mod.validate_spiders(dec)
                 if not report.ok:
-                    return CheckResult(
-                        "grid-spider-construction",
-                        False,
-                        f"grid({n},{k}) subset={subset} center={center}: {report.failure}",
+                    raise _Counterexample(
+                        f"grid({n},{k}) subset={subset} center={center}: {report.failure}"
                     )
                 if any(s.max_leg_length() > k + 1 for s in dec.spiders):
-                    return CheckResult(
-                        "grid-spider-construction",
-                        False,
-                        f"grid({n},{k}) subset={subset}: leg above k+1",
-                    )
-    return CheckResult(
-        "grid-spider-construction", True, "counts, k+1 leg bound, k(n-1) regularity"
-    )
+                    raise _Counterexample(f"grid({n},{k}) subset={subset}: leg above k+1")
+    return "counts, k+1 leg bound, k(n-1) regularity"
 
 
-def check_path_teleportation_law(seed, tol_scale, fault) -> CheckResult:
+def check_path_teleportation_law(seed, tol_scale, fault) -> str:
     import numpy as np
 
     from .hilbert import isotropic
@@ -1133,44 +1053,71 @@ def check_path_teleportation_law(seed, tol_scale, fault) -> CheckResult:
                 law = path_teleport_visibility(p, length) * (1 - fault)
                 deviation = np.abs(rho.matrix - isotropic(d, law).matrix).max()
                 if deviation > tol:
-                    return CheckResult(
-                        "path-teleportation-law",
-                        False,
-                        f"d={d} p={p} length={length}: deviation {deviation:.3e}",
+                    raise _Counterexample(
+                        f"d={d} p={p} length={length}: deviation {deviation:.3e}"
                     )
-    return CheckResult(
-        "path-teleportation-law", True, "length <= 4, d in {2,3}, <= 1e-12"
-    )
+    return "length <= 4, d in {2,3}, <= 1e-12"
 
 
-def check_threshold_and_recurrence(seed, tol_scale, fault) -> CheckResult:
+def _bilateral_cnot_fidelity(p: float) -> float:
+    """Fidelity with Phi+ of the source pair after a bilateral CNOT on two
+    copies of the qubit isotropic state at visibility p, kept when the
+    target pair's Z outcomes agree."""
+    import numpy as np
+
+    from .hilbert import isotropic, max_entangled
+
+    rho = isotropic(2, p).matrix
+    index = np.arange(16)  # bits a1 b1 a2 b2: source pair, then target pair
+    image = index ^ (index >> 2)  # a2 ^= a1 and b2 ^= b1, its own inverse
+    state = np.kron(rho, rho)[np.ix_(image, image)].reshape(4, 4, 4, 4)
+    kept = state[:, 0, :, 0] + state[:, 3, :, 3]  # target outcomes 00 and 11
+    phi = max_entangled(2).vector
+    return float((np.vdot(phi, kept @ phi) / np.trace(kept)).real)
+
+
+def check_threshold_and_recurrence(seed, tol_scale, fault) -> str:
+    """Threshold arithmetic and the recurrence's shape, then its values
+    against a dense bilateral CNOT on two isotropic copies: one round, and
+    every round of distilled_visibility, each twirled back to an isotropic
+    state.  Under a fault the dense twin runs at p(1 - fault)."""
     tol = 1e-12 * tol_scale
     p0 = protocol_mod.visibility_threshold(1.0, 2)
     if abs(p0**16 * 3.0 - 1.0) > tol:
-        return CheckResult(
-            "threshold-and-recurrence", False, f"p0(1,2)^16 * 3 = {p0 ** 16 * 3!r}"
-        )
-    if protocol_mod.recurrence_step(1.0) != 1.0:
-        return CheckResult("threshold-and-recurrence", False, "F=1 is not a fixed point")
-    if protocol_mod.recurrence_step(0.5) != 0.5:
-        return CheckResult("threshold-and-recurrence", False, "F=1/2 is not a fixed point")
+        raise _Counterexample(f"p0(1,2)^16 * 3 = {p0 ** 16 * 3!r}")
+    for f in (1.0, 0.5):
+        if protocol_mod.recurrence_step(f) != f:
+            raise _Counterexample(f"F={f} is not a fixed point")
     grid = [0.5 + 0.01 * i for i in range(1, 50)]
     outputs = [protocol_mod.recurrence_step(f) for f in grid]
     for f, out in zip(grid, outputs):
         if not (0.5 < out <= 1.0 and out > f):
-            return CheckResult(
-                "threshold-and-recurrence", False, f"no gain at F={f}: {out}"
-            )
+            raise _Counterexample(f"no gain at F={f}: {out}")
     if any(b <= a for a, b in zip(outputs, outputs[1:])):
-        return CheckResult(
-            "threshold-and-recurrence", False, "recurrence not strictly increasing"
-        )
-    return CheckResult(
-        "threshold-and-recurrence", True, "threshold arithmetic and recurrence shape"
+        raise _Counterexample("recurrence not strictly increasing")
+    for p in (0.34, 0.4, 0.6, 0.9, 0.99, 1.0):
+        closed = protocol_mod.recurrence_step(protocol_mod.fidelity_from_visibility(p))
+        dense = _bilateral_cnot_fidelity(p * (1 - fault))
+        if abs(closed - dense) > tol:
+            raise _Counterexample(f"p={p}: recurrence {closed!r} vs dense {dense!r}")
+        for copies in (2, 3, 8, 13, 64):
+            visibility, consumed = protocol_mod.distilled_visibility(p, copies)
+            twin, used, left = p * (1 - fault), 1, copies
+            while left >= 2:  # one round per halving of the copies
+                twin = protocol_mod.visibility_from_fidelity(_bilateral_cnot_fidelity(twin))
+                used, left = 2 * used, left // 2
+            if consumed != used or abs(visibility - twin) > tol:
+                raise _Counterexample(
+                    f"p={p} copies={copies}: distilled {visibility!r} from {consumed} "
+                    f"copies vs dense {twin!r} from {used}"
+                )
+    return (
+        "threshold arithmetic, recurrence shape; recurrence_step and up to six rounds "
+        "of distilled_visibility vs a dense bilateral CNOT, p in 0.34..1, <= 1e-12"
     )
 
 
-def check_protocol_trend(seed, tol_scale, fault) -> CheckResult:
+def check_protocol_trend(seed, tol_scale, fault) -> str:
     fidelities = []
     for n_vertices in (15, 30, 60):
         report = protocol_mod.simulate_partial_distillation(
@@ -1178,27 +1125,17 @@ def check_protocol_trend(seed, tol_scale, fault) -> CheckResult:
         )
         fidelities.append(report.final_fidelity)
     if not fidelities[0] < fidelities[1] < fidelities[2]:
-        return CheckResult(
-            "protocol-trend", False, f"fidelity not strictly increasing: {fidelities}"
-        )
+        raise _Counterexample(f"fidelity not strictly increasing: {fidelities}")
     perfect = protocol_mod.simulate_partial_distillation(
         complete_graph(20), (0, 1, 2), 1.0, center=0
     )
     # under a fault the expected fidelity reads fault too high
     if perfect.final_fidelity != 1.0 + fault:
-        return CheckResult(
-            "protocol-trend",
-            False,
-            f"p=1 fidelity {perfect.final_fidelity!r} != {1.0 + fault!r}",
-        )
+        raise _Counterexample(f"p=1 fidelity {perfect.final_fidelity!r} != {1.0 + fault!r}")
     star = protocol_mod.simulate_partial_distillation(star_graph(8), (1, 2, 3), 0.95)
     if not star.necessary_condition_violated:
-        return CheckResult(
-            "protocol-trend", False, "star graph did not raise the obstruction flag"
-        )
-    return CheckResult(
-        "protocol-trend", True, "strict growth over K15/K30/K60, exact 1.0, star flag"
-    )
+        raise _Counterexample("star graph did not raise the obstruction flag")
+    return "strict growth over K15/K30/K60, exact 1.0, star flag"
 
 
 def _dense_teleport_fidelity(target: PureStateVector, visibilities: dict) -> float:
@@ -1212,7 +1149,7 @@ def _dense_teleport_fidelity(target: PureStateVector, visibilities: dict) -> flo
     return fidelity(target, state)
 
 
-def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
+def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> str:
     """Both final-stage forms against the dense loop: the GHZ product for
     m = 2..8 and the cut sum on random pure targets for m = 2..7, every
     center; then the cut sum on GHZ targets against the product up to m = 12,
@@ -1221,7 +1158,6 @@ def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
 
     from .hilbert import PureStateVector, ghz
 
-    name = "protocol-fidelity-closed-form"
     tol = 1e-12 * tol_scale
     grid = (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0)
     rng = random.Random(seed + 2)
@@ -1244,11 +1180,9 @@ def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
                 closed = protocol_mod.ghz_teleport_fidelity(visibilities) + fault
                 dense = _dense_teleport_fidelity(target, dict(zip(others, visibilities)))
                 if abs(closed - dense) > tol:
-                    return CheckResult(
-                        name,
-                        False,
+                    raise _Counterexample(
                         f"m={m} center={center} p={visibilities}: "
-                        f"closed {closed!r} vs dense {dense!r}",
+                        f"closed {closed!r} vs dense {dense!r}"
                     )
     for m in range(2, 8):
         for center in range(m):
@@ -1261,11 +1195,9 @@ def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
                 summed = protocol_mod.pure_target_fidelity(target, noisy)
                 dense = _dense_teleport_fidelity(target, noisy)
                 if abs(summed - dense) > tol:
-                    return CheckResult(
-                        name,
-                        False,
+                    raise _Counterexample(
                         f"random target m={m} center={center} p={visibilities}: "
-                        f"sum {summed!r} vs dense {dense!r}",
+                        f"sum {summed!r} vs dense {dense!r}"
                     )
     for m in range(2, 13):
         center = rng.randrange(m)
@@ -1276,21 +1208,17 @@ def check_protocol_fidelity_closed_form(seed, tol_scale, fault) -> CheckResult:
         summed = protocol_mod.pure_target_fidelity(ghz(m), dict(zip(others, visibilities)))
         closed = protocol_mod.ghz_teleport_fidelity(visibilities)
         if abs(summed - closed) > tol:
-            return CheckResult(
-                name,
-                False,
+            raise _Counterexample(
                 f"GHZ target m={m} center={center} p={visibilities}: "
-                f"sum {summed!r} vs product {closed!r}",
+                f"sum {summed!r} vs product {closed!r}"
             )
-    return CheckResult(
-        name,
-        True,
+    return (
         "GHZ product (m <= 8) and cut sum on random targets (m <= 7) vs dense, "
-        "every center; cut sum vs product on GHZ (m <= 12); <= 1e-12",
+        "every center; cut sum vs product on GHZ (m <= 12); <= 1e-12"
     )
 
 
-def check_diameter_bound(seed, tol_scale, fault) -> CheckResult:
+def check_diameter_bound(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 1)
     graphs = [complete_graph(n) for n in range(3, 13)]
     graphs += [cycle_graph(n) for n in range(3, 17)]
@@ -1305,17 +1233,12 @@ def check_diameter_bound(seed, tol_scale, fault) -> CheckResult:
         # under a fault the bound reads one lower
         bound = 3 * g.vertex_count / (dmin + 1) - 1 - (fault > 0)
         if diameter(g) > bound:
-            return CheckResult(
-                "diameter-bound",
-                False,
-                f"diam {diameter(g)} > {bound:.3f} on {sorted(g.edges)}",
-            )
-    return CheckResult(
-        "diameter-bound", True, "all generated graphs with dmin > 1, clique chains near the bound"
-    )
+            raise _Counterexample(f"diam {diameter(g)} > {bound:.3f} on {sorted(g.edges)}")
+    return "all generated graphs with dmin > 1, clique chains near the bound"
 
 
-# name -> (module tag, check); the tag makes e.g. --filter spectra work
+# name -> (module tag, check), in the order verify prints them; the tag makes
+# e.g. --filter spectra work
 CHECKS = {
     "teleported-ghz-closed-form": ("channels", check_teleported_ghz_closed_form),
     "ghz-basis-eigenstructure": ("channels", check_ghz_basis_eigenstructure),
@@ -1338,8 +1261,17 @@ CHECKS = {
     "spider-residual": ("spiders", check_spider_residual),
 }
 
-# checks that ignore an injected fault; every other check must fail under one
-FAULT_BLIND = frozenset({"threshold-and-recurrence"})
+
+def run_check(
+    name: str, seed: int = DEFAULT_SEED, tol_scale: float = 1.0, fault: float = 0.0
+) -> CheckResult:
+    """Run one check of CHECKS by its name; a fault > 0 breaks one of its
+    comparisons, so that it must fail."""
+    _, check = CHECKS[name]
+    try:
+        return CheckResult(name, True, check(seed, tol_scale, fault))
+    except _Counterexample as counterexample:
+        return CheckResult(name, False, str(counterexample))
 
 
 def run_checks(
@@ -1352,10 +1284,9 @@ def run_checks(
     (harness sanity), tol_scale rescales every comparison tolerance."""
     if not (math.isfinite(tol_scale) and tol_scale > 0):
         raise ValueError(f"tolerance scale {tol_scale} is not finite and positive")
-    results = []
     fault = 1e-6 if inject_fault else 0.0
-    for name, (tag, check) in CHECKS.items():
-        if name_filter and name_filter not in name and name_filter != tag:
-            continue
-        results.append(check(seed, tol_scale, fault))
-    return results
+    return [
+        run_check(name, seed, tol_scale, fault)
+        for name, (tag, _) in CHECKS.items()
+        if not name_filter or name_filter in name or name_filter == tag
+    ]

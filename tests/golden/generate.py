@@ -190,17 +190,19 @@ def _verify(*extra):
 VERIFY_CASES = [
     # cheap checks that run the dense and exhaustive oracles: the star
     # channel, the depolarized components, the noise overlaps, the spectrum
-    # table and the cut enumeration
+    # table, the cut enumeration and the bilateral CNOT
     *(_verify("--filter", name) for name in (
         "teleported-ghz-closed-form",
         "ghz-basis-eigenstructure",
         "noise-overlap-forms",
         "min-eigenvalue-closed-form",
         "menger-duality",
+        "threshold-and-recurrence",
     )),
     # an injected fault fails the comparison
     _verify("--filter", "noise-overlap-forms", "--inject-fault"),
     _verify("--filter", "menger-duality", "--inject-fault"),
+    _verify("--filter", "threshold-and-recurrence", "--inject-fault"),
     # usage errors
     _verify("--tol", "0"),
     _verify("--tol", "nan"),

@@ -23,9 +23,8 @@ _TIMED = {
 
 def _run(name: str, label: str):
     # the check itself, not the filter: "ppt-crossover" also matches c18
-    _, check = verification.CHECKS[name]
     start = time.perf_counter()
-    result = check(verification.DEFAULT_SEED, 1.0, 0.0)
+    result = verification.run_check(name)
     elapsed = time.perf_counter() - start
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {label}: {result.name} ({elapsed:.1f}s) {result.detail}")
@@ -111,9 +110,6 @@ def test_c19_spider_residual_matches_rebuild_twin():
     _run("spider-residual", "19")
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in verification.CHECKS if n not in verification.FAULT_BLIND]
-)
+@pytest.mark.parametrize("name", list(verification.CHECKS))
 def test_check_fails_under_an_injected_fault(name):
-    _, check = verification.CHECKS[name]
-    assert not check(verification.DEFAULT_SEED, 1.0, 1e-6).passed
+    assert not verification.run_check(name, fault=1e-6).passed

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import time
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isonet.protocol
 import isonet.spiders
 from helpers import exact_min_eigenvalue
-from isonet import __version__
+from isonet import __version__, graphs, verification
 from isonet.cli import main
 from isonet.spectra import _ppt_sign_test
 
@@ -357,3 +362,95 @@ def test_integers_too_large_for_a_machine_word_exit_2(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# out-of-range values: negative, above graphs.MAX_SIZE (twice over, so that
+# no lo:hi span from a small lo stays under it), huge, nan, inf, not a number
+_OUT_OF_RANGE = st.one_of(
+    st.integers(-(10**400), -1),
+    st.integers(2 * graphs.MAX_SIZE, 10**400),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x"]),
+)
+
+
+@st.composite
+def _argv(draw, command):
+    """One argv for the command.  Half of them take every value from its
+    legal range, with graphs of at most 40 vertices, so that the command
+    runs to its end; the other half take each value from that range or out
+    of it, and may leave out any option."""
+    wild = draw(st.booleans())
+
+    def value(legal):
+        return str(draw(st.one_of(legal, _OUT_OF_RANGE) if wild else legal))
+
+    def option(flag, legal, required=False):
+        if (wild or not required) and draw(st.booleans()):
+            return []
+        return [f"{flag}={value(legal)}"]
+
+    def values(legal, least=1):
+        count = draw(st.integers(0 if wild else least, 5))
+        return ",".join(value(legal) for _ in range(count))
+
+    def switch(flag):
+        return [flag] if draw(st.booleans()) else []
+
+    argv = [command]
+    if command in ("graph", "spider", "protocol"):
+        wrong = ["x", None] if wild else []
+        family = draw(st.sampled_from([*graphs.GRAPH_FAMILIES, "file", *wrong]))
+        if family == "file":
+            wrong = ["oversize-header", "x"] if wild else []
+            name = draw(st.sampled_from(["broom", "disconnected", *wrong]))
+            argv.append(f"--edge-list={GOLDEN / name}.edges")
+        elif family is not None:
+            argv.append(f"--family={family}")
+            argv += option("--n", st.integers(0, 6 if family == "grid" else 40), required=True)
+            argv += option("--k", st.integers(0, 2), required=family == "grid")
+            argv += option("--seed", st.integers(0, 99))
+    if command in ("spider", "protocol"):
+        argv += [f"--subset={values(st.integers(0, 12), least=2)}"]
+        argv += option("--center", st.integers(0, 12))
+    if command == "spider":
+        argv += option("--max-spiders", st.integers(0, 5))
+        argv += option("--method", st.sampled_from(["greedy", "grid"]))
+    if command == "protocol":
+        argv += [f"--p={values(st.floats(0.0, 1.0))}", *switch("--uniform-legs")]
+    if command == "ppt-scan":
+        span = f"{value(st.integers(2, 60))}:{value(st.integers(2, 60))}"
+        argv += [f"--n={span if draw(st.booleans()) else values(st.integers(2, 2000))}"]
+        argv += [f"--p={values(st.floats(0.0, 1.0))}", *option("--w", st.integers(1, 8))]
+        argv += option("--seed", st.integers(0, 99))
+    if command == "verify":
+        # never the suite itself: a filter that matches no check, or a
+        # tolerance scale that is refused before any check runs
+        tags = {tag for tag, _ in verification.CHECKS.values()}
+        no_match = st.text(min_size=1, max_size=12).filter(
+            lambda f: f not in tags and not any(f in name for name in verification.CHECKS)
+        )
+        if draw(st.booleans()):
+            argv += [f"--filter={draw(no_match)}", *option("--tol", st.floats(1e-3, 1e3))]
+        else:
+            bad_tol = st.one_of(st.floats(max_value=0.0), st.sampled_from(["nan", "inf", "x"]))
+            argv += [*option("--filter", st.text(max_size=12)), f"--tol={draw(bad_tol)}"]
+        argv += [*option("--seed", st.integers(0, 99)), *switch("--inject-fault")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["graph", "spider", "protocol", "ppt-scan", "verify"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_0_1_or_2(command, data):
+    argv = data.draw(_argv(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
