@@ -10,7 +10,6 @@ above MAX_SIZE before they allocate anything.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from collections import deque
@@ -129,14 +128,28 @@ def distance(g: Graph, u: int, v: int):
 def diameter(g: Graph):
     """Largest pairwise distance; INFINITE when the graph is not connected.
 
-    A word-parallel BFS from all sources at once (Then et al., "The More the
-    Merrier", VLDB 2014).  Sources go in blocks of 64 * W; each vertex holds
-    W uint64 words of unseen source bits and W words of frontier bits, the
-    sources whose BFS reached it at the current level.  One level ORs the
-    frontier words over each vertex's neighbours and keeps the bits still
-    unseen: level L sets exactly the sources at distance L.  So the last
-    level that sets a bit is the largest eccentricity among the block's
-    sources, and the diameter is the largest over the blocks.
+    Three classes take a closed form, for n >= 2:
+
+    - Complete: 2m = n(n - 1).  A simple graph with that many edges joins
+      every pair, so the diameter is 1.  Otherwise one BFS from vertex 0
+      decides connectivity, and its distances serve the next two.
+    - Tree: m = n - 1.  A connected graph with n - 1 edges is a tree, and
+      in a tree the farthest vertex from any vertex ends a longest path
+      (Bulterman et al., "On computing a longest path in a tree", IPL 81,
+      2002), so a second BFS from it reaches the diameter.
+    - Cycle: maximum degree 2 and not a tree.  A connected graph of maximum
+      degree 2 is a path or a cycle, and a path is a tree, so this is C_n,
+      whose diameter is n // 2.
+
+    Every other graph takes a word-parallel BFS from all sources at once
+    (Then et al., "The More the Merrier", VLDB 2014).  Sources go in blocks
+    of 64 * W; each vertex holds W uint64 words of unseen source bits and W
+    words of frontier bits, the sources whose BFS reached it at the current
+    level.  One level ORs the frontier words over each vertex's neighbours
+    and keeps the bits still unseen: level L sets exactly the sources at
+    distance L.  So the last level that sets a bit is the largest
+    eccentricity among the block's sources, and the diameter is the largest
+    over the blocks.
 
     Rows are renumbered by degree (a stable argsort), so the rows of one
     degree d form a contiguous slice of count rows.  Each such class stores
@@ -150,16 +163,23 @@ def diameter(g: Graph):
     n = g.vertex_count
     if n <= 1:
         return 0
-    if not is_connected(g):
+    adjacency = g._adjacency
+    arcs = sum(map(len, adjacency))
+    if arcs == n * (n - 1):
+        return 1
+    dist = _bfs_distances(g, 0)
+    if INFINITE in dist:
         return INFINITE
+    if arcs == 2 * (n - 1):
+        return max(_bfs_distances(g, dist.index(max(dist))))
+    if max(map(len, adjacency)) == 2:
+        return n // 2
     import numpy as np
 
     # connected with n >= 2: every degree is at least 1
-    adjacency = g._adjacency
     degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    arcs = int(indptr[-1])
     neighbours = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=arcs)
     order = np.argsort(degrees, kind="stable")
     rank = np.empty(n, dtype=np.int64)
@@ -529,15 +549,17 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     degree = [1] * n
     for x in prufer:
         degree[x] += 1
+    import heapq  # here, not at the top: no other CLI path imports it
+
     edges = []
-    leaves = sorted(v for v in range(n) if degree[v] == 1)
+    # a min-heap of the current leaves: every step joins the smallest one,
+    # so the decoding stays deterministic; ascending order is already a heap
+    leaves = [v for v in range(n) if degree[v] == 1]
     for x in prufer:
-        leaf = leaves.pop(0)
-        edges.append((leaf, x))
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
         if degree[x] == 1:
-            # keep the leaf pool sorted so the decoding stays deterministic
-            bisect.insort(leaves, x)
+            heapq.heappush(leaves, x)
     edges.append((leaves[0], leaves[1]))
     return Graph(n, edges)
 

@@ -170,7 +170,19 @@ def _residual_leg(
 
     The center is searched from because its residual degree runs out first:
     each spider takes m - 1 of its edges and one edge at each target.
+
+    Legs of one or two edges are settled before the BFS.  At d = 1 the path
+    is (center, target).  At d = 2, S_1 is the set of residual neighbours of
+    the target at center-distance 1, that is residual[center] &
+    residual[target]; the walk takes the first member of S_1 in the sorted
+    adjacency of the center, which is min(S_1).  The BFS then runs only for
+    legs of three or more edges, which are rare on a complete graph.
     """
+    if target in residual[center]:
+        return (center, target)
+    common = residual[center] & residual[target]
+    if common:
+        return (center, min(common), target)
     dist = {center: 0}
     queue = deque([center])
     while target not in dist:

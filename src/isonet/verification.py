@@ -475,6 +475,24 @@ def _hub_and_paths(leaves: int, tails) -> Graph:
     return Graph(n, edges)
 
 
+def _prism(h: int) -> Graph:
+    """The prism C_h x K2: two h-cycles, ids 0..h-1 and h..2h-1 around each,
+    with i joined to h + i; 3-regular, with diameter h // 2 + 1."""
+    ring = _cycle_edges(range(h))
+    rungs = [(i, h + i) for i in range(h)]
+    return Graph(2 * h, [*ring, *((u + h, v + h) for u, v in ring), *rungs])
+
+
+def _knotted_path(n: int) -> Graph:
+    """A path from leaf 0 into a knot of seven vertices whose far end n - 1
+    is of degree 3, the largest: (0, n - 1) is the one diametral pair, and
+    it fills the first and the last row of diameter()'s degree order."""
+    p = n - 7
+    c1, c2, x, y, z = range(p + 1, p + 6)
+    knot = [(p, c1), (p, c2), (c1, x), (c1, y), (c2, z), (x, n - 1), (y, n - 1), (z, n - 1)]
+    return Graph(n, [*((v, v + 1) for v in range(p)), *knot])
+
+
 def _caterpillar(rng: random.Random, spine: int, most_leaves: int) -> Graph:
     """A path of spine vertices, each carrying 0..most_leaves leaves of its
     own, with the vertex ids shuffled: many degree classes on a long path."""
@@ -878,18 +896,32 @@ def check_diameter_all_sources(seed, tol_scale, fault) -> str:
     for spine, most in ((60, 12), (150, 4), (30, 30)):
         graphs.append((f"caterpillar-{spine}-{most}", _caterpillar(rng, spine, most)))
     graphs += [("cycle-659", cycle_graph(659)), ("path-1200", path_graph(1200))]
+    # long diameters that no closed form covers: the word-parallel BFS.  A
+    # source that shares its bit or word with another hides its eccentricity,
+    # which shows when its row holds one end of the only diametral pair
+    graphs += [(f"knotted-path-{n}", _knotted_path(n)) for n in (63, 64, 65, 129)]
+    broom = _hub_and_paths(30, [200])
+    end = broom.vertex_count - 1
+    graphs += [
+        ("cycle-659-chord", Graph(659, [*cycle_graph(659).edges, (0, 329)])),
+        ("prism-300", _prism(300)),
+        ("broom-30-200-triangle", Graph(end + 1, [*broom.edges, (end - 2, end)])),
+    ]
     for graph_id, g in graphs:
         fast = diameter(g) + fault
         twin = _per_source_diameter(g)
         if fast != twin:
             raise _Counterexample(
-                f"{graph_id}: all-sources BFS {fast}, per-source BFS {twin} "
+                f"{graph_id}: diameter {fast}, per-source BFS {twin} "
                 f"on {sorted(g.edges)}"
             )
     return (
         f"{len(graphs)} graphs: families, n = 0..2, isolated vertices, word "
         "boundaries at n = 63..65 and 129, random connected and not, brooms, "
-        "caterpillars, a hub with two long tails, cycle-659 and path-1200; exact"
+        "caterpillars, a hub with two long tails, cycle-659 and path-1200 for "
+        "the closed forms; knotted paths at n = 63..65 and 129, "
+        "cycle-659 with a chord, prism-300 and a broom whose tail ends in a "
+        "triangle for the all-sources BFS; exact"
     )
 
 

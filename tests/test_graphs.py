@@ -1,3 +1,4 @@
+import bisect
 import io
 import random
 import sys
@@ -35,6 +36,7 @@ from isonet.graphs import _UnitFlow
 from isonet.verification import (
     _all_targets_edge_connectivity,
     _hub_and_paths,
+    _knotted_path,
     _per_source_diameter,
     _remove_path_edges,
     edge_connectivity_exhaustive,
@@ -212,14 +214,29 @@ def test_diameter_equals_per_source_bfs(g):
     assert diameter(g) == _per_source_diameter(g)
 
 
+def _no_closed_form(g: Graph) -> bool:
+    """g is neither complete, nor a tree, nor of maximum degree 2: diameter
+    takes the word-parallel BFS on it when it is connected."""
+    n, m = g.vertex_count, g.edge_count
+    return 2 * m != n * (n - 1) and m != n - 1 and degree_stats(g).maximum != 2
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_diameter_over_several_source_blocks(n, monkeypatch):
     # one word per vertex, so blocks of 64 sources: n = 65 and 129 need 2 and 3
     monkeypatch.setattr(graphs, "BLOCK_WORDS", 1)
     rng = random.Random(n)
     tree = random_tree(n, seed=n)
-    chorded = Graph(n, [*tree.edges, *(rng.sample(range(n), 2) for _ in range(n // 8))])
-    for g in (path_graph(n), cycle_graph(n), tree, chorded, complete_graph(n)):
+    cycle = cycle_graph(n)
+    # the closed forms take the families; these take the word-parallel BFS
+    others = [
+        Graph(n, [*tree.edges, *(rng.sample(range(n), 2) for _ in range(n // 8))]),
+        Graph(n, [*cycle.edges, (0, n // 2)]),
+        Graph(n, [*cycle.edges, (0, n // 3), (n // 2, n - 1)]),
+        _knotted_path(n),
+    ]
+    assert all(map(_no_closed_form, others))
+    for g in (path_graph(n), cycle, tree, complete_graph(n), *others):
         assert diameter(g) == _per_source_diameter(g)
 
 
@@ -454,6 +471,31 @@ def test_generate_families_and_errors():
             generate(family, n, k=k)
     with pytest.raises(ValueError, match="size cap"):
         generate("grid", 2, k=10**400)
+
+
+def _sorted_list_pruefer_tree(n: int, seed: int) -> Graph:
+    """random_tree's Pruefer decoding with the leaves in a sorted list: the
+    smallest is popped from the front at every step."""
+    rng = random.Random(seed)
+    prufer = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in prufer:
+        degree[x] += 1
+    leaves = sorted(v for v in range(n) if degree[v] == 1)
+    edges = []
+    for x in prufer:
+        edges.append((leaves.pop(0), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            bisect.insort(leaves, x)
+    edges.append((leaves[0], leaves[1]))
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2**32))
+def test_random_tree_equals_sorted_list_decoding(n, seed):
+    assert random_tree(n, seed=seed) == _sorted_list_pruefer_tree(n, seed)
 
 
 def test_connectivity_bounds_on_families():
