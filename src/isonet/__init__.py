@@ -15,8 +15,8 @@ import importlib
 _EXPORTS = {
     "channels": ("path_teleport_visibility",),
     "graphs": (
-        "GRAPH_FAMILIES", "INFINITE", "DegreeStats", "Graph", "GridGraphSpec",
-        "PathInGraph", "complete_graph", "cycle_graph", "degree_stats", "diameter",
+        "GRAPH_FAMILIES", "INFINITE", "Graph", "GridGraphSpec",
+        "PathInGraph", "complete_graph", "cycle_graph", "diameter",
         "distance", "edge_connectivity", "generate", "grid_graph", "is_connected",
         "path_graph", "random_tree", "read_edge_list", "shortest_path", "star_graph",
         "write_edge_list",

@@ -18,7 +18,6 @@ from .graphs import (
     INFINITE,
     GridGraphSpec,
     check_size,
-    degree_stats,
     diameter,
     edge_connectivity,
     generate,
@@ -112,6 +111,8 @@ def _parse_int_values(spec: str) -> list[int]:
 
 
 def _load_graph(args: argparse.Namespace):
+    if args.edge_list and args.family:
+        raise ValueError("--family and --edge-list exclude each other")
     if args.edge_list:
         with open(args.edge_list, "r", encoding="ascii") as stream:
             return read_edge_list(stream), f"file:{args.edge_list}"
@@ -135,7 +136,6 @@ def _add_graph_source(parser: argparse.ArgumentParser):
 
 def cmd_graph(args) -> int:
     g, graph_id = _load_graph(args)
-    stats = degree_stats(g)
     lines = _header(args)
     lines.append("graph_id,vertices,edges,min_degree,max_degree,edge_connectivity,diameter")
     lam = edge_connectivity(g) if g.vertex_count >= 2 else 0
@@ -145,8 +145,8 @@ def cmd_graph(args) -> int:
                 graph_id,
                 _fmt(g.vertex_count),
                 _fmt(g.edge_count),
-                _fmt(stats.minimum),
-                _fmt(stats.maximum),
+                _fmt(g.min_degree),
+                _fmt(g.max_degree),
                 _fmt(lam),
                 _fmt(diameter(g)),
             ]

@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import NamedTuple
 
 INFINITE = math.inf  # sentinel for distances/diameter of disconnected graphs
 
@@ -68,6 +67,16 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self._adjacency)) // 2
 
+    @property
+    def min_degree(self) -> int:
+        """delta: the smallest degree, 0 when there is no vertex."""
+        return min(map(len, self._adjacency), default=0)
+
+    @property
+    def max_degree(self) -> int:
+        """Delta: the largest degree, 0 when there is no vertex."""
+        return max(map(len, self._adjacency), default=0)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return self._adjacency[v]
@@ -89,27 +98,15 @@ def _sorted_edges(g: Graph):
     return ((u, v) for u, adjacent in enumerate(g._adjacency) for v in adjacent if u < v)
 
 
-class DegreeStats(NamedTuple):
-    minimum: int
-    maximum: int
-    degrees: tuple[int, ...]
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    """Minimum degree, maximum degree and the per-vertex degree sequence."""
-    degrees = tuple(len(g.neighbors(v)) for v in range(g.vertex_count))
-    if not degrees:
-        return DegreeStats(0, 0, ())
-    return DegreeStats(min(degrees), max(degrees), degrees)
-
-
 def _bfs_distances(g: Graph, source: int) -> list:
+    g._check_vertex(source)
+    adjacency = g._adjacency
     dist = [INFINITE] * g.vertex_count
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in adjacency[u]:
             if dist[w] == INFINITE:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -172,7 +169,7 @@ def diameter(g: Graph):
         return INFINITE
     if arcs == 2 * (n - 1):
         return max(_bfs_distances(g, dist.index(max(dist))))
-    if max(map(len, adjacency)) == 2:
+    if g.max_degree == 2:
         return n // 2
     import numpy as np
 
@@ -280,10 +277,11 @@ def shortest_path(g: Graph, u: int, v: int) -> PathInGraph | None:
     dist = _bfs_distances(g, v)
     if dist[u] == INFINITE:
         return None
+    adjacency = g._adjacency
     vertices = [u]
     current = u
     while current != v:
-        current = next(w for w in g.neighbors(current) if dist[w] == dist[current] - 1)
+        current = next(w for w in adjacency[current] if dist[w] == dist[current] - 1)
         vertices.append(current)
     return PathInGraph(tuple(vertices))
 
@@ -482,7 +480,7 @@ def edge_connectivity(g: Graph) -> int:
     """
     if g.vertex_count < 2:
         raise ValueError("edge connectivity needs at least two vertices")
-    best = degree_stats(g).minimum
+    best = g.min_degree
     if best <= 2:
         return min(best, _connectivity_up_to_two(g))
     adjacency = g._adjacency

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import spiders as spiders_mod
 from .channels import _saturating_pow2, path_teleport_visibility
-from .graphs import Graph, degree_stats, edge_connectivity, shortest_path
+from .graphs import Graph, _bfs_distances, edge_connectivity
 
 if TYPE_CHECKING:
     from .hilbert import PureStateVector
@@ -256,7 +256,7 @@ def plan_partial_distillation(
     if center not in verts:
         raise ValueError("center must belong to the target subset")
 
-    dmin = degree_stats(g).minimum
+    dmin = g.min_degree
     c = Fraction(dmin, g.vertex_count)
     budget = spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(verts))
     spiders = spiders_mod.extract_spiders(g, verts, center).spiders
@@ -264,7 +264,8 @@ def plan_partial_distillation(
     if spiders:
         leg_lengths = {t: tuple(s.legs[t].length for s in spiders) for t in targets}
     else:
-        leg_lengths = {t: (shortest_path(g, center, t).length,) for t in targets}
+        dist = _bfs_distances(g, center)
+        leg_lengths = {t: (dist[t],) for t in targets}
     return ProtocolPlan(
         vertex_count=g.vertex_count,
         min_degree=dmin,

@@ -19,9 +19,7 @@ from .graphs import (
     GridGraphSpec,
     PathInGraph,
     _bfs_distances,
-    degree_stats,
     edge_connectivity,
-    is_connected,
 )
 
 
@@ -76,12 +74,13 @@ def spider_guarantee(g: Graph, subset: Iterable) -> SpiderGuarantee:
     exactly as rationals/integers.
     """
     verts = _check_subset(g, subset)
-    if not is_connected(g):
+    lam = edge_connectivity(g)
+    if lam == 0:  # lambda >= 1 exactly when g is connected
         raise ValueError("premise violated: graph must be connected")
-    dmin = degree_stats(g).minimum
+    dmin = g.min_degree
     if dmin <= 1:
         raise ValueError("premise violated: minimum degree must exceed 1")
-    return _spider_budget(dmin, g.vertex_count, edge_connectivity(g), len(verts))
+    return _spider_budget(dmin, g.vertex_count, lam, len(verts))
 
 
 def _leg_length_bound(dmin: int, vertex_count: int) -> Fraction:
@@ -120,7 +119,7 @@ def extract_spiders(
     if INFINITE in base_dist:
         raise ValueError("premise violated: graph must be connected")
     # never binding when dmin is 1
-    leg_length_bound = _leg_length_bound(degree_stats(g).minimum, g.vertex_count)
+    leg_length_bound = _leg_length_bound(g.min_degree, g.vertex_count)
 
     targets = sorted(verts - {center}, key=lambda v: (base_dist[v], v))
 

@@ -26,7 +26,6 @@ from .graphs import (
     _UnitFlow,
     complete_graph,
     cycle_graph,
-    degree_stats,
     diameter,
     edge_connectivity,
     grid_graph,
@@ -409,7 +408,7 @@ def _rebuild_extract_spiders(
     on the residual graph, rebuilt as a whole Graph without the edges of the
     legs before it.  Takes valid arguments only."""
     verts = frozenset(subset)
-    bound = spiders_mod._leg_length_bound(degree_stats(g).minimum, g.vertex_count)
+    bound = spiders_mod._leg_length_bound(g.min_degree, g.vertex_count)
     base_dist = _bfs_distances(g, center)
     targets = sorted(verts - {center}, key=lambda v: (base_dist[v], v))
     residual = g
@@ -564,7 +563,7 @@ def _low_degree_graphs(rng: random.Random) -> list[tuple[str, Graph]]:
                 edges += _cycle_edges(rng.sample(part, len(part)))
                 edges += [rng.sample(part, 2) for _ in range(len(part) // 4)]
             g = Graph(n, edges)
-        if degree_stats(g).minimum <= 2:
+        if g.min_degree <= 2:
             graphs.append((f"sparse-{trial}", g))
     return graphs
 
@@ -1039,10 +1038,9 @@ def check_grid_spider_construction(seed, tol_scale, fault) -> str:
     for n, k in ((3, 2), (5, 2), (7, 2), (8, 2), (3, 3), (4, 3), (8, 3)):
         spec = GridGraphSpec(n, k)
         g = spec.to_graph()
-        stats = degree_stats(g)
-        if not stats.minimum == stats.maximum == k * (n - 1):
+        if not g.min_degree == g.max_degree == k * (n - 1):
             raise _Counterexample(
-                f"grid({n},{k}): degrees {stats.minimum}..{stats.maximum} != {k * (n - 1)}"
+                f"grid({n},{k}): degrees {g.min_degree}..{g.max_degree} != {k * (n - 1)}"
             )
         for m in (2, 3, 4):
             if n < 2 * m - 1:
@@ -1259,7 +1257,7 @@ def check_diameter_bound(seed, tol_scale, fault) -> str:
     # within 6/(dmin + 1) < 1 of the bound, so that a bound one lower fails
     graphs += [_clique_chain(dmin, k) for dmin, k in ((6, 1), (9, 3))]
     for g in graphs:
-        dmin = degree_stats(g).minimum
+        dmin = g.min_degree
         if dmin <= 1 or not is_connected(g):
             continue
         # under a fault the bound reads one lower

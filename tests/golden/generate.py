@@ -86,6 +86,8 @@ CASES = [
     # input errors
     ["spider", *_complete(10, "1,2", "--center", "0")],
     ["protocol", *_complete(10, "1", "--p", "0.9")],
+    # two graph sources at once
+    ["spider", "--edge-list", "tests/golden/broom.edges", *_grid(5, 2, "0,1,2", "--method", "grid")],
 ]
 
 

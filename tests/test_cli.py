@@ -76,6 +76,22 @@ def test_graph_requires_a_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("graph",),
+        ("spider", "--subset", "0,1,2", "--method", "grid"),
+        ("protocol", "--subset", "0,1,2", "--p", "0.99"),
+    ],
+)
+def test_family_and_edge_list_exclude_each_other(command, capsys):
+    sources = ("--edge-list", str(GOLDEN / "broom.edges"), "--family", "grid", "--n", "5", "--k", "2")
+    code, out, err = run_cli(capsys, *command, *sources)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --family and --edge-list exclude each other\n"
+
+
 def test_spider_output_format(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -5,7 +5,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isonet import graphs
@@ -16,7 +16,6 @@ from isonet import (
     PathInGraph,
     complete_graph,
     cycle_graph,
-    degree_stats,
     diameter,
     distance,
     edge_connectivity,
@@ -111,7 +110,7 @@ def test_sorted_adjacency_matches_canonical_edge_set_route(case, probe):
 
 @pytest.mark.parametrize("g", [complete_graph(40), grid_graph(4, 4)], ids=["K40", "grid-4^4"])
 def test_analytics_never_build_the_edge_set(g):
-    degree_stats(g)
+    assert g.min_degree <= g.max_degree
     edge_connectivity(g)
     diameter(g)
     extract_spiders(g, (0, 5, 17), 0)
@@ -119,12 +118,27 @@ def test_analytics_never_build_the_edge_set(g):
     assert "edges" not in vars(g)
 
 
-def test_degree_stats_examples():
-    assert degree_stats(complete_graph(5))[:2] == (4, 4)
-    assert degree_stats(star_graph(6))[:2] == (1, 5)
-    stats = degree_stats(grid_graph(3, 2))
-    assert stats.minimum == stats.maximum == 2 * (3 - 1)
-    assert degree_stats(Graph(0))[:2] == (0, 0)
+@st.composite
+def _graphs_with_isolated_vertices(draw):
+    """Up to 30 vertices; the edges touch only some of them, so the rest are
+    isolated."""
+    n = draw(st.integers(0, 30))
+    touched = draw(st.integers(0, n))
+    if touched < 2:
+        return Graph(n)
+    pairs = st.tuples(st.integers(0, touched - 1), st.integers(0, touched - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=80))
+    return Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs_with_isolated_vertices())
+@example(g=Graph(0))
+@example(g=Graph(1))
+def test_degree_bounds_are_the_extreme_degrees(g):
+    degrees = [g.degree(v) for v in range(g.vertex_count)]
+    assert g.min_degree == min(degrees, default=0)
+    assert g.max_degree == max(degrees, default=0)
 
 
 def test_distance_and_diameter():
@@ -204,7 +218,7 @@ def test_edge_connectivity_equals_exhaustive_cut(g):
 @settings(max_examples=150, deadline=None)
 @given(g=_low_degree_small_graphs())
 def test_edge_connectivity_by_bridges_equals_exhaustive_cut(g):
-    assert degree_stats(g).minimum <= 2
+    assert g.min_degree <= 2
     assert edge_connectivity(g) == edge_connectivity_exhaustive(g)
 
 
@@ -218,7 +232,7 @@ def _no_closed_form(g: Graph) -> bool:
     """g is neither complete, nor a tree, nor of maximum degree 2: diameter
     takes the word-parallel BFS on it when it is connected."""
     n, m = g.vertex_count, g.edge_count
-    return 2 * m != n * (n - 1) and m != n - 1 and degree_stats(g).maximum != 2
+    return 2 * m != n * (n - 1) and m != n - 1 and g.max_degree != 2
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
@@ -264,7 +278,7 @@ def test_diameter_on_hubs_and_paths_over_several_source_blocks(g):
 @given(case=_planted_cut_graphs())
 def test_edge_connectivity_finds_planted_cut_below_min_degree(case):
     g, k = case
-    assert degree_stats(g).minimum > k
+    assert g.min_degree > k
     assert edge_connectivity(g) == _all_targets_edge_connectivity(g) == k
 
 
@@ -329,7 +343,7 @@ def _min_degree_three_graphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(g=_min_degree_three_graphs())
 def test_edge_connectivity_equals_all_targets_at_min_degree_three(g):
-    assert degree_stats(g).minimum >= 3
+    assert g.min_degree >= 3
     assert edge_connectivity(g) == _all_targets_edge_connectivity(g)
 
 
@@ -413,7 +427,7 @@ def test_path_in_graph_invariants():
 def test_grid_generation():
     cube = generate("grid", 2, k=3)
     assert cube.vertex_count == 8
-    assert set(degree_stats(cube).degrees) == {3}
+    assert {cube.degree(v) for v in range(8)} == {3}
     g32 = generate("grid", 3, k=2)
     assert g32.vertex_count == 9
     # oracle count: edges iff tuples differ in exactly one coordinate
@@ -450,8 +464,8 @@ def test_grid_by_strides_equals_coordinate_construction(n, k):
 def test_grid_regular_degrees_sweep():
     for n in range(2, 7):
         for k in range(1, 4):
-            stats = degree_stats(grid_graph(n, k))
-            assert stats.minimum == stats.maximum == k * (n - 1)
+            g = grid_graph(n, k)
+            assert g.min_degree == g.max_degree == k * (n - 1)
 
 
 def test_generate_families_and_errors():
@@ -500,13 +514,12 @@ def test_random_tree_equals_sorted_list_decoding(n, seed):
 
 def test_connectivity_bounds_on_families():
     for g in (complete_graph(7), cycle_graph(9), grid_graph(3, 2), random_tree(8, 2)):
-        stats = degree_stats(g)
-        assert edge_connectivity(g) <= stats.minimum <= g.vertex_count - 1
+        assert edge_connectivity(g) <= g.min_degree <= g.vertex_count - 1
 
 
 def test_diameter_bound_for_dense_graphs():
     for g in (complete_graph(8), cycle_graph(11), grid_graph(4, 2), grid_graph(3, 3)):
-        dmin = degree_stats(g).minimum
+        dmin = g.min_degree
         assert dmin > 1
         assert diameter(g) <= 3 * g.vertex_count / (dmin + 1) - 1
 

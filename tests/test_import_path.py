@@ -31,6 +31,16 @@ print(json.dumps({"after_import": after_import, "after_jobs": after_jobs,
 """
 
 
+def test_every_exported_name_resolves():
+    unresolved = []
+    for name in dir(isonet):
+        try:
+            getattr(isonet, name)
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []
+
+
 def test_cli_protocol_and_spider_never_load_numpy():
     src = str(Path(isonet.__file__).resolve().parent.parent)
     env = dict(os.environ)

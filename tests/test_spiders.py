@@ -13,7 +13,6 @@ from isonet import (
     SpiderDecomposition,
     complete_graph,
     decomposition_lines,
-    degree_stats,
     edge_connectivity,
     extract_spiders,
     grid_graph,
@@ -45,7 +44,7 @@ def test_guarantee_zero_when_budget_too_small():
 
 def test_guarantee_on_grid_uses_measured_connectivity():
     g = grid_graph(4, 2)
-    dmin = degree_stats(g).minimum
+    dmin = g.min_degree
     lam = edge_connectivity(g)
     guarantee = spider_guarantee(g, {0, 5})
     expected = int(
@@ -55,12 +54,17 @@ def test_guarantee_on_grid_uses_measured_connectivity():
 
 
 def test_guarantee_premises():
-    with pytest.raises(ValueError):
-        spider_guarantee(path_graph(6), {0, 5})  # min degree 1
-    with pytest.raises(ValueError):
-        spider_guarantee(Graph(4, [(0, 1), (2, 3)]), {0, 2})  # disconnected
-    with pytest.raises(ValueError):
-        spider_guarantee(complete_graph(5), {2})  # subset too small
+    # checked in this order: the subset, connectivity, then minimum degree
+    disconnected = "^premise violated: graph must be connected$"
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(ValueError, match=disconnected):
+        spider_guarantee(two_triangles, {0, 3})  # min degree 2
+    with pytest.raises(ValueError, match=disconnected):
+        spider_guarantee(Graph(4, [(0, 1), (2, 3)]), {0, 2})  # min degree 1
+    with pytest.raises(ValueError, match="^premise violated: minimum degree must exceed 1$"):
+        spider_guarantee(path_graph(6), {0, 5})
+    with pytest.raises(ValueError, match="^the target subset needs at least two vertices$"):
+        spider_guarantee(Graph(4, [(0, 1), (2, 3)]), {2})
 
 
 def test_extraction_meets_guarantee_on_complete_graphs():
