@@ -21,11 +21,7 @@ _EXPORTS = {
         "path_graph", "random_tree", "read_edge_list", "shortest_path", "star_graph",
         "write_edge_list",
     ),
-    "hilbert": (
-        "ATOL_INVARIANT", "ATOL_PSD", "MAX_DENSE_DIM", "CapacityError",
-        "DensityOperator", "PureStateVector", "fidelity", "ghz", "ghz_basis", "is_ppt",
-        "isotropic", "max_entangled", "partial_trace", "partial_transpose", "tensor",
-    ),
+    "hilbert": ("PureStateVector", "ghz"),
     "protocol": (
         "BelowThresholdError", "ProtocolPlan", "ProtocolReport", "TargetOutcome",
         "default_center",

@@ -25,7 +25,7 @@ from .graphs import (
 )
 from .protocol import default_center, plan_partial_distillation, run_partial_distillation
 from .spectra import (
-    is_ppt_teleported_ghz,
+    _ppt_sign_test,
     min_eigenvalue_log,
     min_eigenvalue_teleported_ghz,
     ppt_crossover,
@@ -196,6 +196,8 @@ def cmd_ppt_scan(args) -> int:
     if any(n <= w for n in n_values):
         raise ValueError(f"every n must exceed w={w}")
     crossovers = {p: ppt_crossover(p, w) for p in p_values}
+    # is_ppt_teleported_ghz's own test, built once per p: p and n are valid here
+    sign_tests = {p: _ppt_sign_test(p, w) for p in p_values}
 
     def row(point):
         n, p = point
@@ -205,7 +207,7 @@ def cmd_ppt_scan(args) -> int:
                 _fmt(p),
                 _fmt(w),
                 _fmt_min_eigenvalue(n, p, w),
-                _fmt(is_ppt_teleported_ghz(n, p, w)),
+                _fmt(sign_tests[p](n)),
                 _fmt(n == crossovers[p]),
             ]
         )

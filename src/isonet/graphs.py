@@ -67,12 +67,12 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self._adjacency)) // 2
 
-    @property
+    @cached_property
     def min_degree(self) -> int:
         """delta: the smallest degree, 0 when there is no vertex."""
         return min(map(len, self._adjacency), default=0)
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         """Delta: the largest degree, 0 when there is no vertex."""
         return max(map(len, self._adjacency), default=0)

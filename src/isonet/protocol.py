@@ -139,11 +139,6 @@ class TargetOutcome:
     copies_consumed: int
     below_threshold: bool
 
-    @property
-    def strictly_improved(self) -> bool:
-        """True exactly when distillation ran inside the recurrence gain region."""
-        return self.distilled > self.chunk_visibility
-
 
 @dataclass(frozen=True)
 class ProtocolReport:

@@ -136,23 +136,28 @@ def _ppt_sign_test(p: float, w: int) -> Callable[[int], bool]:
 
 
 def ppt_crossover(p: float, w: int) -> int:
-    """Smallest qubit count at which the teleported GHZ state turns PPT.
+    """First qubit count n >= w+1 at which the sign test passes.
 
     For a bipartition of fixed size w and visibility p < 1, returns the
     first n >= w+1 whose critical eigenvalue is nonnegative, by an
-    unbounded search on the one sign test (Bentley & Yao 1976).
+    unbounded search on the one sign test (Bentley & Yao 1976).  The state
+    stays PPT from that n on only when it is NPT at w+1; see below.
 
     The (r, -) eigenvalue is nonnegative exactly when
     f(n) = e^(a n + alpha) + e^(b n + beta) >= 1 (see _ppt_sign_test).  As a
-    sum of two exponentials of affine functions, f is convex in n, so
-    {n : f(n) < 1} is an interval; a = log((1+p)/2p) > 0 for p < 1, so f
-    grows without bound and that interval ends.  Hence, if the test fails at
-    w+1, it fails on every n from w+1 to n0-1 and passes from n0 on.  The
-    search tries w+1, then gallops over w+1+1, w+1+2, w+1+4, ... until the
-    test passes, and bisects between the last failing and the first passing
-    n.  With K = ceil(log2(n0-w-1)), it takes 1 + (K+1) + (K-1) = 2K+1
-    evaluations when n0 > w+2 (one or two otherwise): about
-    2 log2(n0-w) + 1, e.g. 73 for n0(0.999999999, 1) = 42,832,822,558.
+    sum of two exponentials of affine functions, f is convex in n, so the
+    NPT sizes {n : f(n) < 1} form an interval; a = log((1+p)/2p) > 0 for
+    p < 1, so f grows without bound and that interval ends.  If the test
+    fails at w+1, the interval starts there: the state is NPT from w+1 to
+    n0-1 and PPT from n0 on.  If the test passes at w+1, the result is w+1,
+    and the interval may still lie further on: at (p, w) = (0.5, 3) the
+    state is PPT at n = 4 and 5, NPT at 6 and 7 and PPT from 8 on, and the
+    result is 4.  The search tries w+1, then gallops over w+1+1, w+1+2,
+    w+1+4, ... until the test passes, and bisects between the last failing
+    and the first passing n.  With K = ceil(log2(n0-w-1)), it takes
+    1 + (K+1) + (K-1) = 2K+1 evaluations when n0 > w+2 (one or two
+    otherwise): about 2 log2(n0-w) + 1, e.g. 73 for
+    n0(0.999999999, 1) = 42,832,822,558.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"visibility {p} outside (0, 1); the crossover needs p < 1")

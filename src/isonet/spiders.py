@@ -30,9 +30,6 @@ class Spider:
     center: int
     legs: dict
 
-    def leg_lengths(self) -> dict:
-        return {target: leg.length for target, leg in self.legs.items()}
-
     def max_leg_length(self) -> int:
         return max(leg.length for leg in self.legs.values())
 

@@ -167,6 +167,9 @@ PPT_CASES = [
     _scan("500,600,700", "0.5", 2),
     # a crossover at n0 = 42,832,822,558
     _scan("2:3", "0.999999999", 1),
+    # n0 is the first passing size, not the last NPT one: n0 = 5 for both p,
+    # yet the state is NPT again at n = 7-10 for p = 0.5 and 6-19 for 0.6
+    _scan("5:21", "0.5,0.6", 4),
     # usage and input errors
     _scan("2:3", "0.9", 0),
     _scan("1:3", "0.9", 1),

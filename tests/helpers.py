@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from isonet import DensityOperator, PureStateVector
+from isonet.hilbert import DensityOperator, PureStateVector
 
 
 def random_density_operator(dims, rng) -> DensityOperator:
@@ -18,12 +18,6 @@ def random_pure_state(dims, rng) -> PureStateVector:
     total = int(np.prod(dims))
     vec = rng.normal(size=total) + 1j * rng.normal(size=total)
     return PureStateVector(tuple(dims), vec / np.linalg.norm(vec))
-
-
-def random_unitary(d, rng) -> np.ndarray:
-    ginibre = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(ginibre)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def exact_min_eigenvalue(n: int, p: float, w: int) -> Decimal:

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import random_density_operator
-from isonet import (
+from isonet import path_teleport_visibility
+from isonet.hilbert import (
     CapacityError,
     ghz,
     ghz_basis,
     isotropic,
     max_entangled,
     partial_trace,
-    path_teleport_visibility,
 )
 from isonet.verification import (
     apply_noisy_teleport,

@@ -1,6 +1,8 @@
 """The `protocol` and `spider` commands run without numpy: importing the CLI
 and running both commands leaves it unloaded, while every module the CLI
-binds is loaded and the package still re-exports the dense layer."""
+binds is loaded.  The dense layer is on no CLI path but `verify`: after
+`graph` and `ppt-scan` too, isonet.hilbert is still unloaded, and it still
+imports on request."""
 
 import json
 import os
@@ -22,12 +24,20 @@ with contextlib.redirect_stdout(io.StringIO()):
                          "--subset", "0,1,2"]),
     ]
 after_jobs = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    codes += [
+        isonet.cli.main(["graph", "--family", "grid", "--n", "4", "--k", "3"]),
+        isonet.cli.main(["ppt-scan", "--n", "5:21", "--p", "0.5,0.6", "--w", "4"]),
+    ]
+hilbert_loaded = "isonet.hilbert" in sys.modules
 modules = ["cli", "graphs", "spiders", "channels", "protocol", "spectra", "verification"]
 missing = [m for m in modules if f"isonet.{m}" not in sys.modules]
-from isonet import DensityOperator, ghz
+from isonet import ghz
+from isonet.hilbert import DensityOperator
 dense = DensityOperator is type(ghz(2).density())
 print(json.dumps({"after_import": after_import, "after_jobs": after_jobs,
-                  "codes": codes, "missing": missing, "dense": dense}))
+                  "codes": codes, "hilbert_loaded": hilbert_loaded,
+                  "missing": missing, "dense": dense}))
 """
 
 
@@ -53,7 +63,8 @@ def test_cli_protocol_and_spider_never_load_numpy():
     assert report == {
         "after_import": False,
         "after_jobs": False,
-        "codes": [0, 0],
+        "codes": [0, 0, 0, 0],
+        "hilbert_loaded": False,
         "missing": [],
         "dense": True,
     }

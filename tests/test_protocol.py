@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from helpers import random_pure_state
 from isonet import (
     BelowThresholdError,
-    DensityOperator,
     PureStateVector,
     complete_graph,
     cycle_graph,
@@ -34,6 +33,7 @@ from isonet import (
     visibility_from_fidelity,
     visibility_threshold,
 )
+from isonet.hilbert import DensityOperator
 from isonet.verification import _dense_teleport_fidelity
 
 
@@ -168,14 +168,14 @@ def test_simulation_below_threshold_reported_not_raised():
 
 
 def test_simulation_gain_flags():
-    # strict improvement happens exactly in the recurrence gain region
+    # distillation strictly improves a chunk exactly in the recurrence gain region
     for p in (0.3, 0.5, 0.95, 1.0):
         report = simulate_partial_distillation(complete_graph(20), (0, 1, 2), p, center=0)
         for outcome in report.targets:
             in_gain_region = (
                 outcome.copies_consumed >= 2 and 1 / 3 < outcome.chunk_visibility < 1.0
             )
-            assert outcome.strictly_improved == in_gain_region
+            assert (outcome.distilled > outcome.chunk_visibility) == in_gain_region
 
 
 def test_simulation_uniform_legs_never_beats_actual():

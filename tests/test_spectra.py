@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import exact_min_eigenvalue
-from isonet import (
-    ghz_basis,
-    is_ppt,
-    is_ppt_teleported_ghz,
-    min_eigenvalue_teleported_ghz,
-    partial_transpose,
-    ppt_crossover,
-)
+from isonet import is_ppt_teleported_ghz, min_eigenvalue_teleported_ghz, ppt_crossover
 import isonet.spectra
+from isonet.hilbert import ghz_basis, is_ppt, partial_transpose
 from isonet.spectra import _logaddexp, _mixed_term, _ppt_sign_test, min_eigenvalue_log
 from isonet.verification import (
     _class_scan_min_eigenvalues,
@@ -220,6 +214,21 @@ def test_crossover_anchor_and_boundaries():
         ppt_crossover(1.0, 1)
     with pytest.raises(ValueError):
         ppt_crossover(0.9, 0)
+
+
+def test_crossover_is_the_first_passing_size_not_the_last_npt_one():
+    # at (0.5, 3) the dense partial transpose is PSD at n = 4, 5, loses it at
+    # 6, 7 and regains it from 8 on; the crossover is the first pass, n = 4
+    p, w = 0.5, 3
+    assert ppt_crossover(p, w) == w + 1
+    pattern = {}
+    for n in range(4, 10):
+        state = teleported_ghz_closed_form(n, p)
+        smallest = np.linalg.eigvalsh(partial_transpose(state, range(w)))[0]
+        assert abs(smallest) > 1e-5, (n, smallest)
+        assert is_ppt_teleported_ghz(n, p, w) == (smallest > 0), n
+        pattern[n] = bool(smallest > 0)
+    assert pattern == {4: True, 5: True, 6: False, 7: False, 8: True, 9: True}
 
 
 @settings(max_examples=200, deadline=None)
