@@ -23,7 +23,9 @@ from .graphs import (
     generate,
     read_edge_list,
 )
-from .protocol import default_center, plan_partial_distillation, run_partial_distillation
+from .protocol import (
+    RECURRENCE_MODEL_NOTE, default_center, plan_partial_distillation, run_partial_distillation,
+)
 from .spectra import (
     _ppt_sign_test,
     min_eigenvalue_log,
@@ -220,14 +222,14 @@ def cmd_ppt_scan(args) -> int:
     return 0
 
 
-def _report_text(report) -> list[str]:
+def _report_text(graph_id: str, uniform_legs: bool, report) -> list[str]:
     plan = report.plan
     lines = [
         "[graph]",
-        f"id = {report.graph_id}",
-        f"vertices = {report.vertex_count}",
-        f"min_degree = {report.min_degree}",
-        f"edge_connectivity = {report.edge_connectivity}",
+        f"id = {graph_id}",
+        f"vertices = {plan.vertex_count}",
+        f"min_degree = {plan.min_degree}",
+        f"edge_connectivity = {plan.edge_connectivity}",
         "[plan]",
         f"subset = {','.join(map(str, sorted(plan.subset)))}",
         f"center = {plan.center}",
@@ -237,16 +239,16 @@ def _report_text(report) -> list[str]:
         f"leg_length_bound = {plan.leg_length_bound}",
         "[run]",
         f"p = {_fmt(report.p)}",
-        f"uniform_legs = {_fmt(report.uniform_legs)}",
-        f"model = {report.model_note}",
-        f"spiders_found = {report.spiders_found}",
+        f"uniform_legs = {_fmt(uniform_legs)}",
+        f"model = {RECURRENCE_MODEL_NOTE}",
+        f"spiders_found = {plan.spiders_found}",
         f"p_above_threshold = {_fmt(report.p_above_threshold)}",
-        f"necessary_condition_violated = {_fmt(report.necessary_condition_violated)}",
+        f"necessary_condition_violated = {_fmt(plan.necessary_condition_violated)}",
     ]
     for outcome in report.targets:
         lines.append(f"[target {outcome.target}]")
-        lines.append(f"copies = {outcome.copies}")
-        lines.append(f"leg_lengths = {','.join(map(str, outcome.leg_lengths))}")
+        lines.append(f"copies = {plan.spiders_found}")
+        lines.append(f"leg_lengths = {','.join(map(str, plan.leg_lengths[outcome.target]))}")
         lines.append(
             "leg_visibilities = " + ",".join(_fmt(v) for v in outcome.leg_visibilities)
         )
@@ -265,13 +267,10 @@ def cmd_protocol(args) -> int:
     subset = _parse_list(args.subset, int, "vertex subset")
     p_values = _parse_list(args.p, float, "number list")
     plan = plan_partial_distillation(g, subset, center=args.center)
-    reports = [
-        run_partial_distillation(plan, p, uniform_legs=args.uniform_legs, graph_id=graph_id)
-        for p in p_values
-    ]
+    reports = [run_partial_distillation(plan, p, uniform_legs=args.uniform_legs) for p in p_values]
     lines = _header(args)
     if len(reports) == 1:
-        lines.extend(_report_text(reports[0]))
+        lines.extend(_report_text(graph_id, args.uniform_legs, reports[0]))
     else:
         lines.append("graph_id,N,m,p,c,p0,M_n,spiders_found,p_prime_min,fidelity")
         for report in reports:

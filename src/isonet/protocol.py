@@ -5,7 +5,7 @@ p^(2^(len-1)) per leg), equalize and distill each target's chunk of noisy
 pairs with the two-copy recurrence, then teleport the locally prepared
 target state through the distilled pairs.  The distillation stage is a
 deterministic best-case fidelity model: success probabilities and waiting
-times are out of scope, and every report says so.
+times are out of scope, and the CLI's report says so.
 """
 
 from __future__ import annotations
@@ -127,12 +127,14 @@ class ProtocolPlan:
     spiders_found: int
     leg_lengths: dict[int, tuple[int, ...]]
 
+    @property
+    def necessary_condition_violated(self) -> bool:
+        return self.edge_connectivity <= 1
+
 
 @dataclass(frozen=True)
 class TargetOutcome:
     target: int
-    copies: int
-    leg_lengths: tuple[int, ...]
     leg_visibilities: tuple[float, ...]
     chunk_visibility: float
     distilled: float
@@ -142,25 +144,20 @@ class TargetOutcome:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    graph_id: str
-    p: float
+    """The link-visibility side of the pipeline; the graph side is the plan."""
+
     plan: ProtocolPlan
+    p: float
     targets: tuple[TargetOutcome, ...]
     final_fidelity: float
-    p_above_threshold: bool
-    uniform_legs: bool
-    model_note: str = RECURRENCE_MODEL_NOTE
 
     @property
     def p_prime_min(self) -> float:
         return min(t.distilled for t in self.targets)
 
-    # graph-side facts, stored only in the plan
-    vertex_count = property(lambda report: report.plan.vertex_count)
-    min_degree = property(lambda report: report.plan.min_degree)
-    edge_connectivity = property(lambda report: report.plan.edge_connectivity)
-    spiders_found = property(lambda report: report.plan.spiders_found)
-    necessary_condition_violated = property(lambda report: report.plan.edge_connectivity <= 1)
+    @property
+    def p_above_threshold(self) -> bool:
+        return self.p > self.plan.p0
 
 
 def default_center(g: Graph, subset: frozenset) -> int:
@@ -239,28 +236,25 @@ def plan_partial_distillation(
 
     When spider extraction yields nothing (a tree, a star reached away from
     its center, ...), each target falls back to a single teleportation path,
-    a shortest one, with zero distilled copies; the report flags the
+    a shortest one, with zero distilled copies; the plan flags the
     connectivity obstruction whenever the edge connectivity is 1.
     """
-    verts = spiders_mod._check_subset(g, (int(v) for v in subset))
+    verts = spiders_mod._check_subset(g.vertex_count, subset, center)
     lam = edge_connectivity(g)
     if lam == 0:  # lambda >= 1 exactly when g is connected
-        raise ValueError("graph must be connected")
+        raise ValueError("premise violated: graph must be connected")
     if center is None:
         center = default_center(g, verts)
-    if center not in verts:
-        raise ValueError("center must belong to the target subset")
 
     dmin = g.min_degree
     c = Fraction(dmin, g.vertex_count)
     budget = spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(verts))
-    spiders = spiders_mod.extract_spiders(g, verts, center).spiders
-    targets = sorted(verts - {center})
-    if spiders:
-        leg_lengths = {t: tuple(s.legs[t].length for s in spiders) for t in targets}
-    else:
-        dist = _bfs_distances(g, center)
-        leg_lengths = {t: (dist[t],) for t in targets}
+    dist = _bfs_distances(g, center)
+    spiders = spiders_mod._greedy_spiders(g, verts, center, dist, None).spiders
+    leg_lengths = {
+        t: tuple(s.legs[t].length for s in spiders) or (dist[t],)
+        for t in sorted(verts - {center})
+    }
     return ProtocolPlan(
         vertex_count=g.vertex_count,
         min_degree=dmin,
@@ -281,7 +275,6 @@ def run_partial_distillation(
     p: float,
     target_state: PureStateVector | None = None,
     uniform_legs: bool = False,
-    graph_id: str = "graph",
 ) -> ProtocolReport:
     """The link-visibility side of the pipeline on a plan: leg visibilities,
     distillation and the final stage.  Links and targets are qubits; a custom
@@ -312,8 +305,6 @@ def run_partial_distillation(
         targets.append(
             TargetOutcome(
                 target=target,
-                copies=copies,
-                leg_lengths=lengths,
                 leg_visibilities=visibilities,
                 chunk_visibility=chunk,
                 distilled=distilled,
@@ -332,15 +323,7 @@ def run_partial_distillation(
             target_state, {position[t.target]: t.distilled for t in targets}
         )
 
-    return ProtocolReport(
-        graph_id=graph_id,
-        p=p,
-        plan=plan,
-        targets=tuple(targets),
-        final_fidelity=final_fidelity,
-        p_above_threshold=p > plan.p0,
-        uniform_legs=uniform_legs,
-    )
+    return ProtocolReport(plan, p, tuple(targets), final_fidelity)
 
 
 def simulate_partial_distillation(
@@ -350,9 +333,8 @@ def simulate_partial_distillation(
     center: int | None = None,
     target_state: PureStateVector | None = None,
     uniform_legs: bool = False,
-    graph_id: str = "graph",
 ) -> ProtocolReport:
     """Run the full pipeline on one graph at one link visibility: the plan
     followed by the run."""
     plan = plan_partial_distillation(g, subset, center)
-    return run_partial_distillation(plan, p, target_state, uniform_legs, graph_id)
+    return run_partial_distillation(plan, p, target_state, uniform_legs)

@@ -8,6 +8,7 @@ noisy entangled pair between the center and each target.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,6 @@ class Spider:
 
 @dataclass(frozen=True)
 class SpiderDecomposition:
-    host: Graph
     subset: frozenset
     center: int
     spiders: tuple[Spider, ...]
@@ -52,12 +52,24 @@ class SpiderGuarantee(NamedTuple):
     leg_length_bound: Fraction
 
 
-def _check_subset(g: Graph, subset: Iterable) -> frozenset:
-    verts = frozenset(subset)
+def _vertex_id(v) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex {v!r} is not an integer") from None
+
+
+def _check_subset(vertex_count: int, subset: Iterable, center: int | None = None) -> frozenset:
+    """The target subset as integer vertex ids: at least two, each in range,
+    and holding the center when one is given."""
+    verts = frozenset(map(_vertex_id, subset))
     if len(verts) < 2:
         raise ValueError("the target subset needs at least two vertices")
     for v in verts:
-        g._check_vertex(v)
+        if not 0 <= v < vertex_count:
+            raise ValueError(f"vertex {v} outside range [0, {vertex_count})")
+    if center is not None and _vertex_id(center) not in verts:
+        raise ValueError("center must belong to the target subset")
     return verts
 
 
@@ -70,7 +82,7 @@ def spider_guarantee(g: Graph, subset: Iterable) -> SpiderGuarantee:
     choice inside a target subset of size m.  Both quantities are returned
     exactly as rationals/integers.
     """
-    verts = _check_subset(g, subset)
+    verts = _check_subset(g.vertex_count, subset)
     lam = edge_connectivity(g)
     if lam == 0:  # lambda >= 1 exactly when g is connected
         raise ValueError("premise violated: graph must be connected")
@@ -107,18 +119,24 @@ def extract_spiders(
     reached.  Whenever the guarantee premises hold, at least
     spider_guarantee(g, subset).count spiders are produced.
     """
-    verts = _check_subset(g, subset)
-    if center not in verts:
-        raise ValueError("center must belong to the target subset")
+    verts = _check_subset(g.vertex_count, subset, center)
     if max_spiders is not None and max_spiders < 0:
         raise ValueError(f"max_spiders {max_spiders} is negative")
-    base_dist = _bfs_distances(g, center)
-    if INFINITE in base_dist:
+    dist = _bfs_distances(g, center)
+    if INFINITE in dist:
         raise ValueError("premise violated: graph must be connected")
+    return _greedy_spiders(g, verts, center, dist, max_spiders)
+
+
+def _greedy_spiders(
+    g: Graph, verts: frozenset, center: int, dist: list, max_spiders: int | None
+) -> SpiderDecomposition:
+    """extract_spiders on valid arguments, given the center's BFS distances
+    in the connected graph g."""
     # never binding when dmin is 1
     leg_length_bound = _leg_length_bound(g.min_degree, g.vertex_count)
 
-    targets = sorted(verts - {center}, key=lambda v: (base_dist[v], v))
+    targets = sorted(verts - {center}, key=lambda v: (dist[v], v))
 
     adjacency = g._adjacency
     residual = [set(neighbours) for neighbours in adjacency]
@@ -138,7 +156,7 @@ def extract_spiders(
             break
         spiders.append(Spider(center, legs))
 
-    return SpiderDecomposition(g, verts, center, tuple(spiders), int(leg_length_bound))
+    return SpiderDecomposition(verts, center, tuple(spiders), int(leg_length_bound))
 
 
 def _residual_leg(
@@ -214,10 +232,7 @@ def grid_spiders(spec: GridGraphSpec, subset: Iterable, center: int) -> SpiderDe
     edge-disjoint.  With nu = floor((n-1)/(m0-1)) for subset size m0, the
     construction yields (nu-1)*k spiders and requires nu >= 2.
     """
-    host = spec.to_graph()
-    verts = _check_subset(host, subset)
-    if center not in verts:
-        raise ValueError("center must belong to the target subset")
+    verts = _check_subset(spec.order, subset, center)
     m0 = len(verts)
     multiplicity = (spec.n - 1) // (m0 - 1)
     if multiplicity < 2:
@@ -242,7 +257,7 @@ def grid_spiders(spec: GridGraphSpec, subset: Iterable, center: int) -> SpiderDe
                 )
             spiders.append(Spider(center, legs))
 
-    return SpiderDecomposition(host, verts, center, tuple(spiders), spec.k + 1)
+    return SpiderDecomposition(verts, center, tuple(spiders), spec.k + 1)
 
 
 def _grid_chain(
@@ -274,8 +289,8 @@ class SpiderValidation:
     failure: str | None = None
 
 
-def validate_spiders(dec: SpiderDecomposition) -> SpiderValidation:
-    """Check legs, endpoints, global edge-disjointness and the leg bound.
+def validate_spiders(dec: SpiderDecomposition, host: Graph) -> SpiderValidation:
+    """Check legs in host, endpoints, global edge-disjointness and the leg bound.
 
     Returns the first violation found; an empty decomposition passes.
     """
@@ -291,7 +306,7 @@ def validate_spiders(dec: SpiderDecomposition) -> SpiderValidation:
                 return SpiderValidation(
                     False, f"spider {index} leg to {target} has wrong endpoints"
                 )
-            if not leg.is_path_in(dec.host):
+            if not leg.is_path_in(host):
                 return SpiderValidation(
                     False, f"spider {index} leg to {target} leaves the host graph"
                 )

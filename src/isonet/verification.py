@@ -425,7 +425,7 @@ def _rebuild_extract_spiders(
         if legs is None:
             break
         spiders.append(spiders_mod.Spider(center, legs))
-    return spiders_mod.SpiderDecomposition(g, verts, center, tuple(spiders), int(bound))
+    return spiders_mod.SpiderDecomposition(verts, center, tuple(spiders), int(bound))
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> Graph:
@@ -962,7 +962,7 @@ def check_spider_guarantee(seed, tol_scale, fault) -> str:
                     ceiling = g.degree(center) // (m - 1) - (fault > 0)
                     if dec.count > ceiling:
                         raise _Counterexample(f"{where}: {dec.count} spiders > ceiling {ceiling}")
-                    report = spiders_mod.validate_spiders(dec)
+                    report = spiders_mod.validate_spiders(dec, g)
                     if not report.ok:
                         raise _Counterexample(f"{where}: {report.failure}")
                     for spider in dec.spiders:
@@ -1057,7 +1057,7 @@ def check_grid_spider_construction(seed, tol_scale, fault) -> str:
                     raise _Counterexample(
                         f"grid({n},{k}) subset={subset}: {dec.count} < {floor_count}"
                     )
-                report = spiders_mod.validate_spiders(dec)
+                report = spiders_mod.validate_spiders(dec, g)
                 if not report.ok:
                     raise _Counterexample(
                         f"grid({n},{k}) subset={subset} center={center}: {report.failure}"
@@ -1163,7 +1163,7 @@ def check_protocol_trend(seed, tol_scale, fault) -> str:
     if perfect.final_fidelity != 1.0 + fault:
         raise _Counterexample(f"p=1 fidelity {perfect.final_fidelity!r} != {1.0 + fault!r}")
     star = protocol_mod.simulate_partial_distillation(star_graph(8), (1, 2, 3), 0.95)
-    if not star.necessary_condition_violated:
+    if not star.plan.necessary_condition_violated:
         raise _Counterexample("star graph did not raise the obstruction flag")
     return "strict growth over K15/K30/K60, exact 1.0, star flag"
 

@@ -247,24 +247,40 @@ def test_protocol_beyond_twelve_parties(capsys):
 def test_protocol_sweep_builds_the_graph_side_once(monkeypatch, capsys):
     calls = Counter()
 
-    def count(module, name):
-        original = getattr(module, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     count(isonet.protocol, "edge_connectivity")
-    count(isonet.spiders, "extract_spiders")
+    count(isonet.spiders, "_greedy_spiders")
+    for module in (graphs, isonet.protocol, isonet.spiders):
+        count(module, "_bfs_distances")
+    count(graphs.GridGraphSpec, "to_graph")
+    jobs = (
+        ("complete", "30", "--p", "0.9,0.95,0.99"),  # a sweep: one plan serves every p
+        ("tree", "30", "--seed", "0", "--p", "0.99"),  # no spiders: the fallback legs
+    )
+    for family, n, *rest in jobs:
+        calls.clear()
+        code, out, err = run_cli(
+            capsys, "protocol", "--family", family, "--n", n, "--subset", "0,1,2", *rest
+        )
+        assert code == 0, err
+        assert calls == {"edge_connectivity": 1, "_greedy_spiders": 1, "_bfs_distances": 1}
+    assert "spiders_found = 0" in out  # the tree job fell back
+    calls.clear()
     code, _, err = run_cli(
         capsys,
-        "protocol", "--family", "complete", "--n", "30", "--subset", "0,1,2",
-        "--p", "0.9,0.95,0.99",
+        "spider", "--family", "grid", "--n", "7", "--k", "2", "--subset", "0,24,48",
+        "--method", "grid",
     )
     assert code == 0, err
-    assert calls == {"edge_connectivity": 1, "extract_spiders": 1}
+    assert calls["to_graph"] == 1
 
 
 @pytest.mark.parametrize("extra", [(), ("--uniform-legs",)])

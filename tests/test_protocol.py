@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import random_pure_state
 from isonet import (
     BelowThresholdError,
+    Graph,
     PureStateVector,
     complete_graph,
     cycle_graph,
@@ -29,6 +30,7 @@ from isonet import (
     recurrence_step,
     run_partial_distillation,
     simulate_partial_distillation,
+    spider_guarantee,
     star_graph,
     visibility_from_fidelity,
     visibility_threshold,
@@ -146,19 +148,18 @@ def test_simulation_fidelity_monotone_in_visibility():
 
 def test_simulation_star_graph_obstruction():
     report = simulate_partial_distillation(star_graph(8), (1, 2, 3), 0.95)
-    assert report.spiders_found == 0
-    assert report.necessary_condition_violated
-    assert all(t.copies == 0 for t in report.targets)
+    assert report.plan.spiders_found == 0
+    assert report.plan.necessary_condition_violated
     # fallback teleports over single shortest paths of length 2
-    assert all(t.leg_lengths == (2,) for t in report.targets)
+    assert all(lengths == (2,) for lengths in report.plan.leg_lengths.values())
     assert all(t.distilled == path_teleport_visibility(0.95, 2) for t in report.targets)
     assert report.final_fidelity < 1.0
 
 
 def test_simulation_tree_flagged():
     report = simulate_partial_distillation(random_tree(10, seed=4), (0, 1, 2), 0.9)
-    assert report.necessary_condition_violated
-    assert report.edge_connectivity == 1
+    assert report.plan.necessary_condition_violated
+    assert report.plan.edge_connectivity == 1
 
 
 def test_simulation_below_threshold_reported_not_raised():
@@ -207,10 +208,9 @@ def test_plan_holds_the_graph_side():
         t: tuple(spider.legs[t].length for spider in dec.spiders) for t in (3, 7)
     }
     assert list(plan.leg_lengths) == [3, 7]
+    assert not plan.necessary_condition_violated
     report = run_partial_distillation(plan, 0.95)
-    assert report.spiders_found == dec.count
-    assert report.edge_connectivity == plan.edge_connectivity
-    assert not report.necessary_condition_violated
+    assert report.plan is plan
 
 
 def test_plan_falls_back_to_one_shortest_path_per_target():
@@ -222,9 +222,9 @@ def test_plan_falls_back_to_one_shortest_path_per_target():
     assert plan.leg_lengths == {
         t: (distance(g, plan.center, t),) for t in sorted({0, 1, 2} - {plan.center})
     }
+    assert plan.necessary_condition_violated
     report = run_partial_distillation(plan, 0.9)
-    assert report.necessary_condition_violated
-    assert all(t.copies == 0 for t in report.targets)
+    assert all(t.copies_consumed == 0 for t in report.targets)
 
 
 def test_simulation_input_validation():
@@ -238,6 +238,33 @@ def test_simulation_input_validation():
         simulate_partial_distillation(
             complete_graph(5), (0, 1), 0.9, target_state=ghz(3)
         )
+
+
+def test_subset_vertices_are_read_as_integers_everywhere():
+    g = complete_graph(5)
+    functions = (
+        lambda subset, center: plan_partial_distillation(g, subset, center),
+        lambda subset, center: extract_spiders(g, subset, center),
+        lambda subset, center: spider_guarantee(g, subset),
+    )
+    for function in functions:
+        with pytest.raises(ValueError, match=r"^vertex 1\.5 is not an integer$"):
+            function((0, 1.5), 0)
+        with pytest.raises(ValueError, match=r"^vertex 1\.0 is not an integer$"):
+            function((0, 1.0), 0)
+    with pytest.raises(ValueError, match=r"^vertex 1\.0 is not an integer$"):
+        plan_partial_distillation(g, (0, 1), 1.0)
+    wide = (np.int64(0), np.int64(3))
+    plan = plan_partial_distillation(g, wide, np.int64(3))
+    assert plan.subset == {0, 3} and plan.center == 3
+    assert extract_spiders(g, wide, np.int64(0)) == extract_spiders(g, (0, 3), 0)
+    assert spider_guarantee(g, wide) == spider_guarantee(g, (0, 3))
+
+
+def test_plan_refuses_a_disconnected_graph():
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(ValueError, match="^premise violated: graph must be connected$"):
+        plan_partial_distillation(two_triangles, (0, 3))
 
 
 def test_ghz_teleport_fidelity_values():

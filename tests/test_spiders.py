@@ -76,7 +76,7 @@ def test_extraction_meets_guarantee_on_complete_graphs():
             for center in subset:
                 dec = extract_spiders(g, subset, center)
                 assert dec.count >= guarantee.count
-                assert validate_spiders(dec).ok
+                assert validate_spiders(dec, g).ok
                 assert all(
                     s.max_leg_length() <= guarantee.leg_length_bound
                     for s in dec.spiders
@@ -119,7 +119,7 @@ def test_inductive_step_replay():
             residual = _remove_path_edges(residual, leg)
     again = extract_spiders(residual, subset, 0, max_spiders=1)
     assert again.count == 1
-    assert validate_spiders(again).ok
+    assert validate_spiders(again, residual).ok
 
 
 @st.composite
@@ -143,7 +143,7 @@ def test_residual_extraction_matches_rebuild_twin(case):
     dec = extract_spiders(g, subset, center, max_spiders)
     twin = _rebuild_extract_spiders(g, subset, center, max_spiders)
     assert decomposition_lines(dec) == decomposition_lines(twin)
-    assert validate_spiders(dec).ok
+    assert validate_spiders(dec, g).ok
     assert g.edges == edges  # the residual is a copy
 
 
@@ -163,7 +163,7 @@ def test_grid_spiders_counts_and_validation(n, k, m):
     floor_count = ((n - 1) // (m - 1) - 1) * k
     assert dec.count >= floor_count
     assert all(s.max_leg_length() <= k + 1 for s in dec.spiders)
-    assert validate_spiders(dec).ok
+    assert validate_spiders(dec, spec.to_graph()).ok
 
 
 def test_grid_spiders_rejects_small_side():
@@ -172,8 +172,8 @@ def test_grid_spiders_rejects_small_side():
 
 
 def test_validate_empty_decomposition_passes():
-    dec = SpiderDecomposition(complete_graph(4), frozenset({0, 1}), 0, (), 3)
-    assert validate_spiders(dec).ok
+    dec = SpiderDecomposition(frozenset({0, 1}), 0, (), 3)
+    assert validate_spiders(dec, complete_graph(4)).ok
 
 
 def test_validate_flags_duplicate_edge():
@@ -181,23 +181,21 @@ def test_validate_flags_duplicate_edge():
     leg = PathInGraph((0, 1))
     other = PathInGraph((0, 2))
     dup = SpiderDecomposition(
-        g,
         frozenset({0, 1, 2}),
         0,
         (Spider(0, {1: leg, 2: other}), Spider(0, {1: leg, 2: PathInGraph((0, 3, 2))})),
         5,
     )
-    report = validate_spiders(dup)
+    report = validate_spiders(dup, g)
     assert not report.ok
     assert "(0, 1)" in report.failure
 
 
 def test_validate_flags_leg_bound_violation():
     g = path_graph(4)
-    dec = SpiderDecomposition(
-        g, frozenset({0, 3}), 0, (Spider(0, {3: PathInGraph((0, 1, 2, 3))}),), 2
-    )
-    report = validate_spiders(dec)
+    legs = {3: PathInGraph((0, 1, 2, 3))}
+    dec = SpiderDecomposition(frozenset({0, 3}), 0, (Spider(0, legs),), 2)
+    report = validate_spiders(dec, g)
     assert not report.ok
     assert "length 3" in report.failure
 
