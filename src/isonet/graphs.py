@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 
 INFINITE = math.inf  # sentinel for distances/diameter of disconnected graphs
 
@@ -57,6 +57,16 @@ class Graph:
             adj[v].add(u)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adj))
+
+    @classmethod
+    def _of(cls, adjacency: tuple) -> Graph:
+        """The graph of an adjacency stored as given, with no check: the
+        caller guarantees one sorted tuple of neighbours per vertex, no
+        self-loop or repeat, and every arc matched by its reverse."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", len(adjacency))
+        object.__setattr__(g, "_adjacency", adjacency)
+        return g
 
     @cached_property
     def edges(self) -> frozenset:
@@ -294,41 +304,67 @@ def shortest_path(g: Graph, u: int, v: int) -> PathInGraph | None:
 class _UnitFlow:
     """Dinic max-flow on an undirected graph with unit edge capacities.
 
-    The arc arrays are built once per graph; every max_flow call resets the
-    capacities in place, so one network serves any number of flows.  The
+    The arc arrays are built once per graph, and one network serves any
+    number of flows: each max_flow call first restores the capacity of every
+    arc that the previous call pushed flow along, and of its reverse.  The
     sink is a set of vertices contracted into one: a flow ends at the first
     sink vertex it enters, so edges among sink vertices carry nothing.
     """
 
     def __init__(self, g: Graph):
         self.n = g.vertex_count
-        self.head = [[] for _ in range(self.n)]  # arc indices per vertex
-        self.to = []
-        # an undirected unit edge becomes two antiparallel unit arcs 2i and
-        # 2i+1, each acting as the residual arc of the other
-        for u, v in _sorted_edges(g):
-            self.head[u].append(len(self.to))
-            self.to.append(v)
-            self.head[v].append(len(self.to))
-            self.to.append(u)
-        self.cap = [1] * len(self.to)
+        self.head = head = [[] for _ in range(self.n)]  # arc indices per vertex
+        self.to = to = []
+        # the i-th edge (u, v), u < v, in lexicographic order becomes two
+        # antiparallel unit arcs 2i = (u, v) and 2i+1 = (v, u), each acting
+        # as the residual arc of the other
+        for u, adjacent in enumerate(g._adjacency):
+            for v in adjacent:
+                if u < v:
+                    head[u].append(len(to))
+                    head[v].append(len(to) + 1)
+                    to += (v, u)
+        self.cap = [1] * len(to)
+        self.pushed = []  # the arcs flow went along since the last reset
 
     def max_flow(self, s: int, sink: list, cutoff: float = INFINITE) -> int:
         """Flow value from s into the vertices v with sink[v] true, stopping
-        once it reaches cutoff; s itself must not be a sink vertex."""
-        cap = self.cap
-        cap[:] = (1,) * len(cap)
+        once it reaches cutoff; s itself must not be a sink vertex.
+
+        The flow starts from the paths of one or two edges into the sink:
+        each arc of s that enters a sink vertex, and each arc of s to another
+        vertex w followed by the first arc of w that enters one.  These paths
+        are edge-disjoint.  Each leaves s by its own arc.  A second arc joins
+        a non-sink w to a sink vertex, so it is no edge at s, which is no
+        sink vertex, and no other path's second arc, whose non-sink end is
+        another w.  So the paths form a feasible flow, and max_flow returns
+        at once if they reach the cutoff.  Otherwise Dinic continues from
+        them; a flow that admits no augmenting path is maximum, whatever
+        flow it grew from, so the value is that of Dinic from zero.
+        """
+        head, to, cap, pushed = self.head, self.to, self.cap, self.pushed
+        for a in pushed:
+            cap[a] = cap[a ^ 1] = 1
+        pushed.clear()
         flow = 0
+        for a in head[s]:
+            if flow >= cutoff:
+                return flow
+            w = to[a]
+            path = (a,) if sink[w] else next(((a, b) for b in head[w] if sink[to[b]]), ())
+            if path:
+                for b in path:
+                    cap[b] -= 1
+                    cap[b ^ 1] += 1
+                pushed += path
+                flow += 1
         while flow < cutoff:
             level, depth = self._levels(s, sink)
             if depth < 0:
                 break
             it = [0] * self.n
-            while flow < cutoff:
-                pushed = self._augment(s, sink, depth, level, it)
-                if not pushed:
-                    break
-                flow += pushed
+            while flow < cutoff and self._augment(s, sink, depth, level, it):
+                flow += 1
         return flow
 
     def _levels(self, s: int, sink: list) -> tuple[list, int]:
@@ -397,6 +433,7 @@ class _UnitFlow:
         for a in path:
             cap[a] -= 1
             cap[a ^ 1] += 1
+        self.pushed += path
         return 1
 
 
@@ -472,11 +509,14 @@ def edge_connectivity(g: Graph) -> int:
     flow is lambda.  When D = {0}, vertex 0 is adjacent to every other
     vertex, so lambda = delta_min.
 
-    Cost.  The sink set soon dominates most of the graph, so the level search
-    of each flow ends within a few levels of v instead of running out to the
-    far side of the graph.  One flow network is built per graph and its
-    capacities are reset per flow; augmentation is iterative, so no input
-    reaches the recursion limit.
+    Cost.  The sink set soon dominates most of the graph, so most of each
+    flow runs along paths of one or two edges, which max_flow pushes before
+    any level search, and the searches that remain end within a few levels
+    of v instead of running out to the far side of the graph.  One flow
+    network is built per graph, and each flow restores only the arcs that
+    the one before it pushed along, so a flow pays for the arcs it touches
+    and not for all 2m: on the hypercube Q14, 8,191 flows over 229,376 arcs.
+    Augmentation is iterative, so no input reaches the recursion limit.
     """
     if g.vertex_count < 2:
         raise ValueError("edge connectivity needs at least two vertices")
@@ -512,26 +552,31 @@ def edge_connectivity(g: Graph) -> int:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph(n, combinations(range(n), 2))
+    ids = tuple(range(n))
+    return Graph._of(tuple(ids[:v] + ids[v + 1 :] for v in ids))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle graph needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    inner = ((v - 1, v + 1) for v in range(1, n - 1))
+    return Graph._of(((1, n - 1), *inner, (0, n - 2)))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path graph needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    if n == 1:
+        return Graph(1)
+    inner = ((v - 1, v + 1) for v in range(1, n - 1))
+    return Graph._of(((1,), *inner, (n - 2,)))
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices: center 0 joined to 1..n-1."""
     if n < 2:
         raise ValueError("star graph needs n >= 2")
-    return Graph(n, [(0, i) for i in range(1, n)])
+    return Graph._of((tuple(range(1, n)),) + ((0,),) * (n - 1))
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:
@@ -599,16 +644,28 @@ class GridGraphSpec:
         return tuple(reversed(coords))
 
     def to_graph(self) -> Graph:
-        # coordinate m of a vertex id is vid // n**(k-1-m) % n; raising it from
-        # c to c2 adds (c2 - c) * n**(k-1-m) to the id
+        """The grid's sorted adjacency, built one leading coordinate at a time.
+
+        With k = 1 the grid is K_n.  A vertex of the grid with one more
+        coordinate is a * size + r, where a is its leading coordinate, r a
+        vertex of the smaller grid and size its order.  Its neighbours are
+        b * size + r for every b != a, and a * size + w for every neighbour w
+        of r.  The latter lie in [a * size, (a + 1) * size), so those with
+        b < a, then those, then those with b > a come in sorted order.
+        """
         n = self.n
-        strides = [n ** (self.k - 1 - m) for m in range(self.k)]
-        edges = []
-        for vid in range(self.order):
-            for stride in strides:
-                top = vid + (n - vid // stride % n) * stride
-                edges.extend((vid, other) for other in range(vid + stride, top, stride))
-        return Graph(self.order, edges)
+        adjacency = complete_graph(n)._adjacency
+        size = n
+        for _ in range(self.k - 1):
+            columns = [tuple(range(r, r + n * size, size)) for r in range(size)]
+            grown = []
+            for a in range(n):
+                base = a * size
+                for column, inner in zip(columns, adjacency):
+                    grown.append(column[:a] + tuple([base + w for w in inner]) + column[a + 1 :])
+            adjacency = tuple(grown)
+            size *= n
+        return Graph._of(adjacency)
 
 
 def grid_graph(n: int, k: int) -> Graph:

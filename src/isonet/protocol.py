@@ -239,7 +239,7 @@ def plan_partial_distillation(
     a shortest one, with zero distilled copies; the plan flags the
     connectivity obstruction whenever the edge connectivity is 1.
     """
-    verts = spiders_mod._check_subset(g.vertex_count, subset, center)
+    verts, center = spiders_mod._check_subset(g.vertex_count, subset, center)
     lam = edge_connectivity(g)
     if lam == 0:  # lambda >= 1 exactly when g is connected
         raise ValueError("premise violated: graph must be connected")

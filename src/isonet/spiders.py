@@ -59,18 +59,23 @@ def _vertex_id(v) -> int:
         raise ValueError(f"vertex {v!r} is not an integer") from None
 
 
-def _check_subset(vertex_count: int, subset: Iterable, center: int | None = None) -> frozenset:
-    """The target subset as integer vertex ids: at least two, each in range,
-    and holding the center when one is given."""
+def _check_subset(
+    vertex_count: int, subset: Iterable, center: int | None = None
+) -> tuple[frozenset, int | None]:
+    """The target subset and the center as integer vertex ids: at least two
+    vertices, each in range, and holding the center when one is given (None
+    stays None)."""
     verts = frozenset(map(_vertex_id, subset))
     if len(verts) < 2:
         raise ValueError("the target subset needs at least two vertices")
     for v in verts:
         if not 0 <= v < vertex_count:
             raise ValueError(f"vertex {v} outside range [0, {vertex_count})")
-    if center is not None and _vertex_id(center) not in verts:
-        raise ValueError("center must belong to the target subset")
-    return verts
+    if center is not None:
+        center = _vertex_id(center)
+        if center not in verts:
+            raise ValueError("center must belong to the target subset")
+    return verts, center
 
 
 def spider_guarantee(g: Graph, subset: Iterable) -> SpiderGuarantee:
@@ -82,7 +87,7 @@ def spider_guarantee(g: Graph, subset: Iterable) -> SpiderGuarantee:
     choice inside a target subset of size m.  Both quantities are returned
     exactly as rationals/integers.
     """
-    verts = _check_subset(g.vertex_count, subset)
+    verts, _ = _check_subset(g.vertex_count, subset)
     lam = edge_connectivity(g)
     if lam == 0:  # lambda >= 1 exactly when g is connected
         raise ValueError("premise violated: graph must be connected")
@@ -119,7 +124,7 @@ def extract_spiders(
     reached.  Whenever the guarantee premises hold, at least
     spider_guarantee(g, subset).count spiders are produced.
     """
-    verts = _check_subset(g.vertex_count, subset, center)
+    verts, center = _check_subset(g.vertex_count, subset, center)
     if max_spiders is not None and max_spiders < 0:
         raise ValueError(f"max_spiders {max_spiders} is negative")
     dist = _bfs_distances(g, center)
@@ -232,7 +237,7 @@ def grid_spiders(spec: GridGraphSpec, subset: Iterable, center: int) -> SpiderDe
     edge-disjoint.  With nu = floor((n-1)/(m0-1)) for subset size m0, the
     construction yields (nu-1)*k spiders and requires nu >= 2.
     """
-    verts = _check_subset(spec.order, subset, center)
+    verts, center = _check_subset(spec.order, subset, center)
     m0 = len(verts)
     multiplicity = (spec.n - 1) // (m0 - 1)
     if multiplicity < 2:

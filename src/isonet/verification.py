@@ -28,6 +28,7 @@ from .graphs import (
     cycle_graph,
     diameter,
     edge_connectivity,
+    generate,
     grid_graph,
     is_connected,
     path_graph,
@@ -426,6 +427,28 @@ def _rebuild_extract_spiders(
             break
         spiders.append(spiders_mod.Spider(center, legs))
     return spiders_mod.SpiderDecomposition(verts, center, tuple(spiders), int(bound))
+
+
+def _family_edges(family: str, n: int, k: int | None = None) -> list[tuple[int, int]]:
+    """Oracle twin of the family generators: the family's edges one pair at
+    a time, by its defining formula."""
+    if family == "complete":
+        return list(combinations(range(n), 2))
+    if family == "cycle":
+        return [(i, (i + 1) % n) for i in range(n)]
+    if family == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    if family == "star":
+        return [(0, i) for i in range(1, n)]
+    # the grid: coordinate m of a vertex id is vid // n**(k-1-m) % n, and
+    # raising it from c to c2 adds (c2 - c) * n**(k-1-m) to the id
+    strides = [n ** (k - 1 - m) for m in range(k)]
+    edges = []
+    for vid in range(n**k):
+        for stride in strides:
+            top = vid + (n - vid // stride % n) * stride
+            edges.extend((vid, other) for other in range(vid + stride, top, stride))
+    return edges
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> Graph:
@@ -832,6 +855,8 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 4)
     graphs = [(f"complete-{n}", complete_graph(n)) for n in (2, 3, 4, 7, 16, 33, 60)]
     graphs += [(f"grid-{n}-{k}", grid_graph(n, k)) for n, k in ((4, 3), (3, 4), (5, 3), (4, 4))]
+    # hypercubes, the grids at n = 2: the id-order dominating set is half of them
+    graphs += [(f"hypercube-{k}", grid_graph(2, k)) for k in range(2, 10)]
     graphs += [(f"cycle-{n}", cycle_graph(n)) for n in (3, 4, 9, 40)]
     graphs += [(f"star-{n}", star_graph(n)) for n in (2, 5, 30)]
     graphs += [(f"path-{n}", path_graph(n)) for n in (2, 3, 25)]
@@ -866,9 +891,9 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> str:
                 f"on {sorted(g.edges)}"
             )
     return (
-        f"{len(graphs)} graphs: families, Hamming grids, random, disconnected, planted "
-        "cuts between cliques and between grids, minimum degree <= 2 with bridges and "
-        "cut vertices; exact"
+        f"{len(graphs)} graphs: families, Hamming grids, hypercubes Q2-Q9, random, "
+        "disconnected, planted cuts between cliques and between grids, minimum degree "
+        "<= 2 with bridges and cut vertices; exact"
     )
 
 
@@ -1267,6 +1292,39 @@ def check_diameter_bound(seed, tol_scale, fault) -> str:
     return "all generated graphs with dmin > 1, clique chains near the bound"
 
 
+_GENERATED_FAMILIES = [
+    *(("complete", n, None) for n in (1, 2, 3, 7, 40)),
+    *(("cycle", n, None) for n in (3, 4, 5, 64)),
+    *(("path", n, None) for n in (1, 2, 3, 30)),
+    *(("star", n, None) for n in (2, 3, 17)),
+    *(("grid", n, 1) for n in (2, 3, 5)),
+    *(("grid", 2, k) for k in range(1, 8)),
+    *(("grid", n, k) for n, k in ((3, 2), (5, 2), (3, 3), (4, 3), (3, 4), (4, 4))),
+]
+
+
+def check_family_generators(seed, tol_scale, fault) -> str:
+    """Each generator against Graph(n, edges) on its family's edge formula:
+    equal graphs with equal hashes.  Under a fault the formula drops its
+    last edge."""
+    for family, n, k in _GENERATED_FAMILIES:
+        g = generate(family, n, k)
+        edges = _family_edges(family, n, k)
+        if fault:
+            edges = edges[:-1]
+        twin = Graph(g.vertex_count, edges)
+        if g != twin or hash(g) != hash(twin):
+            differ = sorted(g.edges ^ twin.edges)[:4] or "the order of an adjacency"
+            raise _Counterexample(
+                f"{family} n={n} k={k}: the generator and the edge formula differ in {differ}"
+            )
+    return (
+        f"{len(_GENERATED_FAMILIES)} members of the complete, cycle, path, star "
+        "and grid families, K1, K2, C3, P1, P2, the star on 2 vertices, grids "
+        "with k = 1 or n = 2 included; equal graphs and hashes"
+    )
+
+
 # name -> (module tag, check), in the order verify prints them; the tag makes
 # e.g. --filter spectra work
 CHECKS = {
@@ -1289,6 +1347,7 @@ CHECKS = {
     "ppt-sign-test": ("spectra", check_ppt_sign_test),
     "ppt-crossover-gallop": ("spectra", check_ppt_crossover_gallop),
     "spider-residual": ("spiders", check_spider_residual),
+    "family-generators": ("graphs", check_family_generators),
 }
 
 

@@ -110,6 +110,10 @@ def test_c19_spider_residual_matches_rebuild_twin():
     _run("spider-residual", "19")
 
 
+def test_c20_family_generators_match_their_edge_formulas():
+    _run("family-generators", "20")
+
+
 @pytest.mark.parametrize("name", list(verification.CHECKS))
 def test_check_fails_under_an_injected_fault(name):
     assert not verification.run_check(name, fault=1e-6).passed

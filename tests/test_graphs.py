@@ -284,14 +284,19 @@ def test_edge_connectivity_finds_planted_cut_below_min_degree(case):
 
 @st.composite
 def _flow_cases(draw):
-    """A graph on 2..14 vertices, a source s and a nonempty sink set without s."""
+    """A graph on 2..14 vertices and a sequence of one to four flows on it,
+    each a source s, a nonempty sink set without s and a cutoff."""
     n = draw(st.integers(2, 14))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph(n, [e for e, k in zip(pairs, keep) if k])
-    order = draw(st.permutations(range(n)))
-    sink_size = draw(st.integers(1, n - 1))
-    return g, order[0], set(order[1 : 1 + sink_size])
+    flows = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(n)))
+        sink_size = draw(st.integers(1, n - 1))
+        cutoff = draw(st.one_of(st.just(INFINITE), st.integers(0, 14)))
+        flows.append((order[0], set(order[1 : 1 + sink_size]), cutoff))
+    return g, flows
 
 
 def _min_cut_around(g: Graph, s: int, sink: set) -> int:
@@ -306,15 +311,16 @@ def _min_cut_around(g: Graph, s: int, sink: set) -> int:
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_flow_cases(), cutoff=st.integers(0, 14))
-def test_max_flow_into_a_sink_set_equals_min_cut(case, cutoff):
-    g, s, sink = case
-    flags = [v in sink for v in range(g.vertex_count)]
-    cut = _min_cut_around(g, s, sink)
-    flow = _UnitFlow(g)
-    assert flow.max_flow(s, flags) == cut
-    # the same network again, with its capacities reset, under a cutoff
-    assert flow.max_flow(s, flags, cutoff=cutoff) == min(cut, cutoff)
+@given(case=_flow_cases())
+def test_max_flow_into_a_sink_set_equals_min_cut(case):
+    # one network serves every flow, so each call must first restore every
+    # arc that the call before it pushed flow along
+    g, flows = case
+    network = _UnitFlow(g)
+    for s, sink, cutoff in flows:
+        flags = [v in sink for v in range(g.vertex_count)]
+        cut = _min_cut_around(g, s, sink)
+        assert network.max_flow(s, flags, cutoff=cutoff) == min(cut, cutoff)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from helpers import random_pure_state
 from isonet import (
     BelowThresholdError,
     Graph,
+    GridGraphSpec,
     PureStateVector,
     complete_graph,
     cycle_graph,
@@ -23,6 +24,7 @@ from isonet import (
     ghz,
     ghz_teleport_fidelity,
     grid_graph,
+    grid_spiders,
     path_teleport_visibility,
     plan_partial_distillation,
     pure_target_fidelity,
@@ -259,6 +261,25 @@ def test_subset_vertices_are_read_as_integers_everywhere():
     assert plan.subset == {0, 3} and plan.center == 3
     assert extract_spiders(g, wide, np.int64(0)) == extract_spiders(g, (0, 3), 0)
     assert spider_guarantee(g, wide) == spider_guarantee(g, (0, 3))
+
+
+def test_every_returned_vertex_is_an_int():
+    def vertices(dec):
+        yield dec.center
+        yield from dec.subset
+        for spider in dec.spiders:
+            yield spider.center
+            yield from spider.legs
+            for leg in spider.legs.values():
+                yield from leg.vertices
+
+    wide = (np.int64(0), np.int64(3))
+    dec = extract_spiders(complete_graph(5), wide, np.int64(0))
+    grid = grid_spiders(GridGraphSpec(5, 2), (np.int64(0), np.int64(12)), np.int64(12))
+    plan = plan_partial_distillation(complete_graph(5), wide, np.int64(3))
+    assert dec.spiders and grid.spiders
+    found = [*vertices(dec), *vertices(grid), plan.center, *plan.subset, *plan.leg_lengths]
+    assert all(type(v) is int for v in found), [type(v) for v in found]
 
 
 def test_plan_refuses_a_disconnected_graph():
