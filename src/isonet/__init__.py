@@ -15,11 +15,9 @@ import importlib
 _EXPORTS = {
     "channels": ("path_teleport_visibility",),
     "graphs": (
-        "GRAPH_FAMILIES", "INFINITE", "Graph", "GridGraphSpec",
-        "PathInGraph", "complete_graph", "cycle_graph", "diameter",
-        "distance", "edge_connectivity", "generate", "grid_graph", "is_connected",
-        "path_graph", "random_tree", "read_edge_list", "shortest_path", "star_graph",
-        "write_edge_list",
+        "GRAPH_FAMILIES", "INFINITE", "Graph", "GridGraphSpec", "complete_graph",
+        "cycle_graph", "diameter", "edge_connectivity", "generate", "grid_graph",
+        "path_graph", "random_tree", "read_edge_list", "star_graph", "write_edge_list",
     ),
     "hilbert": ("PureStateVector", "ghz"),
     "protocol": (
@@ -32,8 +30,8 @@ _EXPORTS = {
     ),
     "spectra": ("is_ppt_teleported_ghz", "min_eigenvalue_teleported_ghz", "ppt_crossover"),
     "spiders": (
-        "Spider", "SpiderDecomposition", "SpiderValidation", "decomposition_lines", "extract_spiders", "grid_spiders", "spider_guarantee",
-        "validate_spiders",
+        "SpiderDecomposition", "decomposition_lines", "extract_spiders", "grid_spiders",
+        "spider_guarantee", "validate_spiders",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

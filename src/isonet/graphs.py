@@ -123,15 +123,6 @@ def _bfs_distances(g: Graph, source: int) -> list:
     return dist
 
 
-def distance(g: Graph, u: int, v: int):
-    """Shortest-path length between u and v; INFINITE when disconnected."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        return 0
-    return _bfs_distances(g, u)[v]
-
-
 def diameter(g: Graph):
     """Largest pairwise distance; INFINITE when the graph is not connected.
 
@@ -232,68 +223,6 @@ def diameter(g: Graph):
             level += 1
         worst = max(worst, level)
     return worst
-
-
-def is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    return INFINITE not in _bfs_distances(g, 0)
-
-
-@dataclass(frozen=True)
-class PathInGraph:
-    """A simple path given by its vertex sequence v0, v1, ..., v_len."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise ValueError("a path needs at least one edge")
-        if len(set(verts)) != len(verts):
-            raise ValueError("path repeats a vertex")
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(tuple(sorted(e)) for e in zip(self.vertices, self.vertices[1:]))
-
-    def is_path_in(self, g: Graph) -> bool:
-        return all(g.has_edge(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
-
-
-def shortest_path(g: Graph, u: int, v: int) -> PathInGraph | None:
-    """Lexicographically smallest shortest path from u to v, or None.
-
-    A reverse BFS provides the distance-to-target field; walking greedily
-    to the smallest neighbour that decreases it yields the unique
-    lexicographically smallest vertex sequence among all shortest paths.
-    """
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError("endpoints of a path must differ")
-    dist = _bfs_distances(g, v)
-    if dist[u] == INFINITE:
-        return None
-    adjacency = g._adjacency
-    vertices = [u]
-    current = u
-    while current != v:
-        current = next(w for w in adjacency[current] if dist[w] == dist[current] - 1)
-        vertices.append(current)
-    return PathInGraph(tuple(vertices))
 
 
 # ---------------------------------------------------------------------------

@@ -182,12 +182,11 @@ def partial_transpose(rho: DensityOperator, factors: Iterable[int]) -> np.ndarra
     return tensor_form.transpose(axes).reshape(total, total)
 
 
-def is_ppt(rho: DensityOperator, factors: Iterable[int], tol: float = ATOL_PSD) -> bool:
-    """True when the partial transpose over the factor subset stays PSD."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+def is_ppt(rho: DensityOperator, factors: Iterable[int]) -> bool:
+    """True when the partial transpose over the factor subset stays PSD
+    within ATOL_PSD."""
     smallest = np.linalg.eigvalsh(partial_transpose(rho, factors))[0]
-    return bool(smallest >= -tol)
+    return bool(smallest >= -ATOL_PSD)
 
 
 def fidelity(target: PureStateVector, state: DensityOperator) -> float:

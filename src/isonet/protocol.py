@@ -252,7 +252,7 @@ def plan_partial_distillation(
     dist = _bfs_distances(g, center)
     spiders = spiders_mod._greedy_spiders(g, verts, center, dist, None).spiders
     leg_lengths = {
-        t: tuple(s.legs[t].length for s in spiders) or (dist[t],)
+        t: tuple(len(legs[t]) - 1 for legs in spiders) or (dist[t],)
         for t in sorted(verts - {center})
     }
     return ProtocolPlan(

@@ -3,7 +3,8 @@
 A spider is a tree with one designated center and simple-path legs running
 to a set of target vertices.  Collections of pairwise edge-disjoint spiders
 are what the distillation pipeline consumes: every spider contributes one
-noisy entangled pair between the center and each target.
+noisy entangled pair between the center and each target.  A leg is the tuple
+of its vertices, center first, and a spider is a dict from target to leg.
 """
 
 from __future__ import annotations
@@ -18,28 +19,20 @@ from .graphs import (
     INFINITE,
     Graph,
     GridGraphSpec,
-    PathInGraph,
     _bfs_distances,
     edge_connectivity,
 )
 
 
 @dataclass(frozen=True)
-class Spider:
-    """Legs keyed by target vertex; every leg starts at the center."""
-
-    center: int
-    legs: dict
-
-    def max_leg_length(self) -> int:
-        return max(leg.length for leg in self.legs.values())
-
-
-@dataclass(frozen=True)
 class SpiderDecomposition:
+    """Edge-disjoint spiders around one center: each a dict from target to
+    leg, the tuple of the leg's vertices from the center to the target, so a
+    leg of length l has l + 1 vertices."""
+
     subset: frozenset
     center: int
-    spiders: tuple[Spider, ...]
+    spiders: tuple[dict[int, tuple[int, ...]], ...]
     leg_length_bound: int
 
     @property
@@ -156,10 +149,10 @@ def _greedy_spiders(
             for a, b in zip(leg, leg[1:]):
                 residual[a].remove(b)
                 residual[b].remove(a)
-            legs[target] = PathInGraph(leg)
+            legs[target] = leg
         if legs is None:
             break
-        spiders.append(Spider(center, legs))
+        spiders.append(legs)
 
     return SpiderDecomposition(verts, center, tuple(spiders), int(leg_length_bound))
 
@@ -180,9 +173,9 @@ def _residual_leg(
     each step, the first vertex of the sorted adjacency that is a residual
     neighbour in the next layer.
 
-    Same path as graphs.shortest_path, which walks to the smallest neighbour
-    one step closer to the target.  Let current lie on a shortest path at
-    center-distance i.  A neighbour w of current has target-distance
+    Same path as verification.shortest_path, which walks to the smallest
+    neighbour one step closer to the target.  Let current lie on a shortest
+    path at center-distance i.  A neighbour w of current has target-distance
     d - i - 1 exactly when w is in S_(i+1): such a w is at center-distance
     at least d - (d - i - 1) = i + 1 and at most i + 1.  So both walks pick
     from the same set in the same order.
@@ -260,7 +253,7 @@ def grid_spiders(spec: GridGraphSpec, subset: Iterable, center: int) -> SpiderDe
                 legs[target] = _grid_chain(
                     spec, start, target_coords[target], axis, next(spare)
                 )
-            spiders.append(Spider(center, legs))
+            spiders.append(legs)
 
     return SpiderDecomposition(verts, center, tuple(spiders), spec.k + 1)
 
@@ -271,7 +264,7 @@ def _grid_chain(
     goal: tuple[int, ...],
     axis: int,
     spare: int,
-) -> PathInGraph:
+) -> tuple[int, ...]:
     current = list(start)
     vertices = [spec.vertex_id(start)]
 
@@ -285,58 +278,47 @@ def _grid_chain(
         if m != axis:
             move(m, goal[m])
     move(axis, goal[axis])
-    return PathInGraph(tuple(vertices))
+    return tuple(vertices)
 
 
-@dataclass(frozen=True)
-class SpiderValidation:
-    ok: bool
-    failure: str | None = None
-
-
-def validate_spiders(dec: SpiderDecomposition, host: Graph) -> SpiderValidation:
-    """Check legs in host, endpoints, global edge-disjointness and the leg bound.
-
-    Returns the first violation found; an empty decomposition passes.
-    """
+def validate_spiders(dec: SpiderDecomposition, host: Graph) -> str | None:
+    """The first violation found, or None: every spider has one leg per
+    target; every leg has an edge, repeats no vertex, runs from the center to
+    its target along edges of host and keeps the leg bound; no edge serves
+    two legs.  An empty decomposition passes."""
     expected_targets = dec.subset - {dec.center}
     seen_edges = {}
-    for index, spider in enumerate(dec.spiders):
-        if spider.center != dec.center:
-            return SpiderValidation(False, f"spider {index} has a foreign center")
-        if set(spider.legs) != expected_targets:
-            return SpiderValidation(False, f"spider {index} misses a target leg")
-        for target, leg in spider.legs.items():
-            if leg.start != dec.center or leg.end != target:
-                return SpiderValidation(
-                    False, f"spider {index} leg to {target} has wrong endpoints"
-                )
-            if not leg.is_path_in(host):
-                return SpiderValidation(
-                    False, f"spider {index} leg to {target} leaves the host graph"
-                )
-            if leg.length > dec.leg_length_bound:
-                return SpiderValidation(
-                    False,
-                    f"spider {index} leg to {target} has length {leg.length} "
-                    f"> bound {dec.leg_length_bound}",
-                )
-            for edge in leg.edges():
+    for index, legs in enumerate(dec.spiders):
+        if set(legs) != expected_targets:
+            return f"spider {index} misses a target leg"
+        for target, leg in legs.items():
+            where = f"spider {index} leg to {target}"
+            if len(leg) < 2:
+                return f"{where} needs at least one edge"
+            if len(set(leg)) != len(leg):
+                return f"{where} repeats a vertex"
+            if leg[0] != dec.center or leg[-1] != target:
+                return f"{where} has wrong endpoints"
+            steps = list(zip(leg, leg[1:]))
+            if not all(host.has_edge(a, b) for a, b in steps):
+                return f"{where} leaves the host graph"
+            if len(leg) - 1 > dec.leg_length_bound:
+                return f"{where} has length {len(leg) - 1} > bound {dec.leg_length_bound}"
+            for a, b in steps:
+                edge = (min(a, b), max(a, b))
                 if edge in seen_edges:
-                    return SpiderValidation(
-                        False,
+                    return (
                         f"edge {edge} reused by spider {index} "
-                        f"(first used by spider {seen_edges[edge]})",
+                        f"(first used by spider {seen_edges[edge]})"
                     )
                 seen_edges[edge] = index
-    return SpiderValidation(True)
+    return None
 
 
 def decomposition_lines(dec: SpiderDecomposition) -> list[str]:
     """Line-oriented form: one line per leg, 'spider_index target v0 v1 ... vl'."""
     lines = []
-    for index, spider in enumerate(dec.spiders):
-        for target in sorted(spider.legs):
-            verts = " ".join(str(v) for v in spider.legs[target].vertices)
-            lines.append(f"{index} {target} {verts}")
+    for index, legs in enumerate(dec.spiders):
+        for target in sorted(legs):
+            lines.append(f"{index} {target} {' '.join(map(str, legs[target]))}")
     return lines

@@ -13,25 +13,21 @@ from isonet import (
     INFINITE,
     Graph,
     GridGraphSpec,
-    PathInGraph,
     complete_graph,
     cycle_graph,
     diameter,
-    distance,
     edge_connectivity,
     extract_spiders,
     generate,
     grid_graph,
-    is_connected,
     path_graph,
     plan_partial_distillation,
     random_tree,
     read_edge_list,
-    shortest_path,
     star_graph,
     write_edge_list,
 )
-from isonet.graphs import _UnitFlow
+from isonet.graphs import _bfs_distances, _UnitFlow
 from isonet.verification import (
     _all_targets_edge_connectivity,
     _hub_and_paths,
@@ -42,6 +38,7 @@ from isonet.verification import (
     max_edge_disjoint_paths,
     planted_cut_graph,
     random_connected_graph,
+    shortest_path,
 )
 
 
@@ -143,14 +140,14 @@ def test_degree_bounds_are_the_extreme_degrees(g):
 
 def test_distance_and_diameter():
     p5 = path_graph(5)
-    assert distance(p5, 2, 2) == 0
-    assert distance(p5, 0, 4) == 4
+    assert _bfs_distances(p5, 2) == [2, 1, 0, 1, 2]
+    assert _bfs_distances(p5, 0)[4] == 4
     assert diameter(p5) == 4
     disconnected = Graph(4, [(0, 1), (2, 3)])
-    assert distance(disconnected, 0, 2) == INFINITE
+    assert _bfs_distances(disconnected, 0)[2] == INFINITE
     assert diameter(disconnected) == INFINITE
     with pytest.raises(ValueError):
-        distance(p5, 0, 9)
+        _bfs_distances(p5, 9)
 
 
 def test_edge_connectivity_examples():
@@ -389,22 +386,24 @@ def test_menger_duality_small_random():
 def test_shortest_path_is_lexicographically_smallest():
     # two shortest 0->3 routes in a 4-cycle; the smaller passes through 1
     square = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-    assert shortest_path(square, 0, 3).vertices == (0, 1, 3)
-    assert shortest_path(square, 0, 3).length == 2
+    assert shortest_path(square, 0, 3) == (0, 1, 3)
     assert shortest_path(Graph(3, [(0, 1)]), 0, 2) is None
 
 
 def test_remove_path_edges():
     # the rebuild step of the spider extraction's oracle twin
     k3 = complete_graph(3)
-    trimmed = _remove_path_edges(k3, PathInGraph((0, 1)))
+    trimmed = _remove_path_edges(k3, (0, 1))
     assert trimmed.edge_count == 2
     assert trimmed.vertex_count == 3
     p5 = path_graph(5)
-    chopped = _remove_path_edges(p5, PathInGraph((1, 2, 3)))
+    chopped = _remove_path_edges(p5, (1, 2, 3))
     assert chopped.degree(2) == p5.degree(2) - 2
     with pytest.raises(ValueError):
-        _remove_path_edges(chopped, PathInGraph((1, 2)))
+        _remove_path_edges(chopped, (1, 2))
+    # edges are read in either direction along the path
+    k8 = complete_graph(8)
+    assert k8.edges - _remove_path_edges(k8, (4, 2, 7)).edges == {(2, 4), (2, 7)}
 
 
 def test_removing_fewer_than_connectivity_edges_keeps_graph_connected():
@@ -415,19 +414,9 @@ def test_removing_fewer_than_connectivity_edges_keeps_graph_connected():
         u = rng.randrange(g.vertex_count)
         v = rng.choice([x for x in range(g.vertex_count) if x != u])
         path = shortest_path(g, u, v)
-        if path is None or path.length >= lam:
+        if path is None or len(path) - 1 >= lam:
             continue
-        assert is_connected(_remove_path_edges(g, path))
-
-
-def test_path_in_graph_invariants():
-    with pytest.raises(ValueError):
-        PathInGraph((3,))
-    with pytest.raises(ValueError):
-        PathInGraph((0, 1, 0))
-    path = PathInGraph((4, 2, 7))
-    assert path.length == 2
-    assert path.edges() == ((2, 4), (2, 7))
+        assert INFINITE not in _bfs_distances(_remove_path_edges(g, path), 0)
 
 
 def test_grid_generation():
@@ -477,7 +466,7 @@ def test_grid_regular_degrees_sweep():
 def test_generate_families_and_errors():
     assert edge_connectivity(generate("star", 6)) == 1
     assert generate("tree", 10, seed=3).edge_count == 9
-    assert is_connected(generate("tree", 10, seed=3))
+    assert edge_connectivity(generate("tree", 10, seed=3)) == 1
     assert generate("tree", 10, seed=3) == generate("tree", 10, seed=3)
     with pytest.raises(ValueError):
         generate("grid", 1, k=2)

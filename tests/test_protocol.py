@@ -15,7 +15,6 @@ from isonet import (
     complete_graph,
     cycle_graph,
     default_center,
-    distance,
     distilled_visibility,
     downgrade_visibility,
     edge_connectivity,
@@ -37,6 +36,7 @@ from isonet import (
     visibility_from_fidelity,
     visibility_threshold,
 )
+from isonet.graphs import _bfs_distances
 from isonet.hilbert import DensityOperator
 from isonet.verification import _dense_teleport_fidelity
 
@@ -207,7 +207,7 @@ def test_plan_holds_the_graph_side():
     dec = extract_spiders(g, (0, 3, 7), plan.center)
     assert plan.spiders_found == dec.count > 0
     assert plan.leg_lengths == {
-        t: tuple(spider.legs[t].length for spider in dec.spiders) for t in (3, 7)
+        t: tuple(len(legs[t]) - 1 for legs in dec.spiders) for t in (3, 7)
     }
     assert list(plan.leg_lengths) == [3, 7]
     assert not plan.necessary_condition_violated
@@ -221,9 +221,8 @@ def test_plan_falls_back_to_one_shortest_path_per_target():
     assert plan.spiders_found == 0
     assert plan.edge_connectivity == edge_connectivity(g) == 1
     assert plan.min_degree == min(map(g.degree, range(g.vertex_count))) == 1
-    assert plan.leg_lengths == {
-        t: (distance(g, plan.center, t),) for t in sorted({0, 1, 2} - {plan.center})
-    }
+    dist = _bfs_distances(g, plan.center)
+    assert plan.leg_lengths == {t: (dist[t],) for t in sorted({0, 1, 2} - {plan.center})}
     assert plan.necessary_condition_violated
     report = run_partial_distillation(plan, 0.9)
     assert all(t.copies_consumed == 0 for t in report.targets)
@@ -267,11 +266,10 @@ def test_every_returned_vertex_is_an_int():
     def vertices(dec):
         yield dec.center
         yield from dec.subset
-        for spider in dec.spiders:
-            yield spider.center
-            yield from spider.legs
-            for leg in spider.legs.values():
-                yield from leg.vertices
+        for legs in dec.spiders:
+            yield from legs
+            for leg in legs.values():
+                yield from leg
 
     wide = (np.int64(0), np.int64(3))
     dec = extract_spiders(complete_graph(5), wide, np.int64(0))

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from isonet import (
     Graph,
     GridGraphSpec,
-    PathInGraph,
-    Spider,
     SpiderDecomposition,
     complete_graph,
     decomposition_lines,
@@ -76,10 +74,11 @@ def test_extraction_meets_guarantee_on_complete_graphs():
             for center in subset:
                 dec = extract_spiders(g, subset, center)
                 assert dec.count >= guarantee.count
-                assert validate_spiders(dec, g).ok
+                assert validate_spiders(dec, g) is None
                 assert all(
-                    s.max_leg_length() <= guarantee.leg_length_bound
-                    for s in dec.spiders
+                    len(leg) - 1 <= guarantee.leg_length_bound
+                    for legs in dec.spiders
+                    for leg in legs.values()
                 )
 
 
@@ -92,7 +91,7 @@ def test_extraction_pair_count_bounded_by_disjoint_paths():
 def test_extraction_on_path_graph_yields_single_spider():
     dec = extract_spiders(path_graph(6), (0, 5), 0)
     assert dec.count == 1
-    assert dec.spiders[0].legs[5].vertices == (0, 1, 2, 3, 4, 5)
+    assert dec.spiders[0] == {5: (0, 1, 2, 3, 4, 5)}
 
 
 def test_extraction_respects_max_spiders():
@@ -114,12 +113,12 @@ def test_inductive_step_replay():
     assert guarantee.count == 5
     dec = extract_spiders(g, subset, 0, max_spiders=guarantee.count - 1)
     residual = g
-    for spider in dec.spiders:
-        for leg in spider.legs.values():
+    for legs in dec.spiders:
+        for leg in legs.values():
             residual = _remove_path_edges(residual, leg)
     again = extract_spiders(residual, subset, 0, max_spiders=1)
     assert again.count == 1
-    assert validate_spiders(again, residual).ok
+    assert validate_spiders(again, residual) is None
 
 
 @st.composite
@@ -143,7 +142,7 @@ def test_residual_extraction_matches_rebuild_twin(case):
     dec = extract_spiders(g, subset, center, max_spiders)
     twin = _rebuild_extract_spiders(g, subset, center, max_spiders)
     assert decomposition_lines(dec) == decomposition_lines(twin)
-    assert validate_spiders(dec, g).ok
+    assert validate_spiders(dec, g) is None
     assert g.edges == edges  # the residual is a copy
 
 
@@ -162,8 +161,8 @@ def test_grid_spiders_counts_and_validation(n, k, m):
     dec = grid_spiders(spec, subset, subset[0])
     floor_count = ((n - 1) // (m - 1) - 1) * k
     assert dec.count >= floor_count
-    assert all(s.max_leg_length() <= k + 1 for s in dec.spiders)
-    assert validate_spiders(dec, spec.to_graph()).ok
+    assert all(len(leg) - 1 <= k + 1 for legs in dec.spiders for leg in legs.values())
+    assert validate_spiders(dec, spec.to_graph()) is None
 
 
 def test_grid_spiders_rejects_small_side():
@@ -173,31 +172,34 @@ def test_grid_spiders_rejects_small_side():
 
 def test_validate_empty_decomposition_passes():
     dec = SpiderDecomposition(frozenset({0, 1}), 0, (), 3)
-    assert validate_spiders(dec, complete_graph(4)).ok
+    assert validate_spiders(dec, complete_graph(4)) is None
 
 
 def test_validate_flags_duplicate_edge():
     g = complete_graph(4)
-    leg = PathInGraph((0, 1))
-    other = PathInGraph((0, 2))
     dup = SpiderDecomposition(
-        frozenset({0, 1, 2}),
-        0,
-        (Spider(0, {1: leg, 2: other}), Spider(0, {1: leg, 2: PathInGraph((0, 3, 2))})),
-        5,
+        frozenset({0, 1, 2}), 0, ({1: (0, 1), 2: (0, 2)}, {1: (0, 1), 2: (0, 3, 2)}), 5
     )
-    report = validate_spiders(dup, g)
-    assert not report.ok
-    assert "(0, 1)" in report.failure
+    assert "(0, 1)" in validate_spiders(dup, g)
 
 
 def test_validate_flags_leg_bound_violation():
-    g = path_graph(4)
-    legs = {3: PathInGraph((0, 1, 2, 3))}
-    dec = SpiderDecomposition(frozenset({0, 3}), 0, (Spider(0, legs),), 2)
-    report = validate_spiders(dec, g)
-    assert not report.ok
-    assert "length 3" in report.failure
+    dec = SpiderDecomposition(frozenset({0, 3}), 0, ({3: (0, 1, 2, 3)},), 2)
+    assert "length 3" in validate_spiders(dec, path_graph(4))
+
+
+@pytest.mark.parametrize(
+    "leg,message",
+    [
+        ((0, 1, 2, 3, 1, 4), "repeats a vertex"),  # no edge repeats
+        ((0,), "needs at least one edge"),
+        ((1, 4), "wrong endpoints"),
+        ((0, 2, 3), "wrong endpoints"),
+    ],
+)
+def test_validate_flags_malformed_leg(leg, message):
+    dec = SpiderDecomposition(frozenset({0, 4}), 0, ({4: leg},), 10)
+    assert message in validate_spiders(dec, complete_graph(5))
 
 
 def test_serialization_lines():
