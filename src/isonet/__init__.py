@@ -31,7 +31,7 @@ _EXPORTS = {
     "spectra": ("is_ppt_teleported_ghz", "min_eigenvalue_teleported_ghz", "ppt_crossover"),
     "spiders": (
         "SpiderDecomposition", "decomposition_lines", "extract_spiders", "grid_spiders",
-        "spider_guarantee", "validate_spiders",
+        "validate_spiders",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

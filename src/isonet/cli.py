@@ -23,16 +23,14 @@ from .graphs import (
     generate,
     read_edge_list,
 )
-from .protocol import (
-    RECURRENCE_MODEL_NOTE, default_center, plan_partial_distillation, run_partial_distillation,
-)
+from .protocol import RECURRENCE_MODEL_NOTE, plan_partial_distillation, run_partial_distillation
 from .spectra import (
     _ppt_sign_test,
     min_eigenvalue_log,
     min_eigenvalue_teleported_ghz,
     ppt_crossover,
 )
-from .spiders import decomposition_lines, extract_spiders, grid_spiders, spider_guarantee
+from .spiders import decomposition_lines, grid_spiders
 
 
 def _fmt(value) -> str:
@@ -159,28 +157,30 @@ def cmd_graph(args) -> int:
 
 
 def cmd_spider(args) -> int:
-    g, graph_id = _load_graph(args)
-    subset = _parse_list(args.subset, int, "vertex subset")
-    center = args.center if args.center is not None else default_center(g, subset)
     if args.method == "grid":
         if args.family != "grid":
             raise ValueError("--method grid needs --family grid")
         if args.max_spiders is not None:
             raise ValueError("--max-spiders needs --method greedy")
-        dec = grid_spiders(GridGraphSpec(args.n, args.k), subset, center)
+    g, graph_id = _load_graph(args)
+    subset = _parse_list(args.subset, int, "vertex subset")
+    if args.method == "grid":
+        # the plan's premises, center and budget; the spiders come from the grid
+        plan = plan_partial_distillation(g, subset, args.center, max_spiders=0)
+        dec = grid_spiders(GridGraphSpec(args.n, args.k), subset, plan.spiders.center)
     else:
-        dec = extract_spiders(g, subset, center, max_spiders=args.max_spiders)
+        plan = plan_partial_distillation(g, subset, args.center, args.max_spiders)
+        dec = plan.spiders
     lines = _header(args)
     lines.append(f"graph_id = {graph_id}")
-    lines.append(f"center = {center}")
+    lines.append(f"center = {dec.center}")
     lines.append(f"subset = {','.join(map(str, sorted(subset)))}")
     lines.append(f"spiders = {dec.count}")
     lines.append(f"leg_length_bound = {dec.leg_length_bound}")
-    try:
-        guarantee = spider_guarantee(g, subset)
-        lines.append(f"guaranteed_spiders = {guarantee.count}")
-    except ValueError as exc:
-        lines.append(f"guaranteed_spiders = n/a ({exc})")
+    if plan.min_degree > 1:
+        lines.append(f"guaranteed_spiders = {plan.spider_budget}")
+    else:
+        lines.append("guaranteed_spiders = n/a (premise violated: minimum degree must exceed 1)")
     lines.extend(decomposition_lines(dec))
     _emit(lines, args.out)
     return 0
@@ -231,8 +231,8 @@ def _report_text(graph_id: str, uniform_legs: bool, report) -> list[str]:
         f"min_degree = {plan.min_degree}",
         f"edge_connectivity = {plan.edge_connectivity}",
         "[plan]",
-        f"subset = {','.join(map(str, sorted(plan.subset)))}",
-        f"center = {plan.center}",
+        f"subset = {','.join(map(str, sorted(plan.spiders.subset)))}",
+        f"center = {plan.spiders.center}",
         f"c = {plan.ratio_c}",
         f"p0 = {_fmt(plan.p0)}",
         f"spider_budget = {plan.spider_budget}",
@@ -241,13 +241,13 @@ def _report_text(graph_id: str, uniform_legs: bool, report) -> list[str]:
         f"p = {_fmt(report.p)}",
         f"uniform_legs = {_fmt(uniform_legs)}",
         f"model = {RECURRENCE_MODEL_NOTE}",
-        f"spiders_found = {plan.spiders_found}",
+        f"spiders_found = {plan.spiders.count}",
         f"p_above_threshold = {_fmt(report.p_above_threshold)}",
         f"necessary_condition_violated = {_fmt(plan.necessary_condition_violated)}",
     ]
     for outcome in report.targets:
         lines.append(f"[target {outcome.target}]")
-        lines.append(f"copies = {plan.spiders_found}")
+        lines.append(f"copies = {plan.spiders.count}")
         lines.append(f"leg_lengths = {','.join(map(str, plan.leg_lengths[outcome.target]))}")
         lines.append(
             "leg_visibilities = " + ",".join(_fmt(v) for v in outcome.leg_visibilities)
@@ -277,12 +277,12 @@ def cmd_protocol(args) -> int:
             values = (
                 graph_id,
                 plan.vertex_count,
-                len(plan.subset),
+                len(plan.spiders.subset),
                 report.p,
                 float(plan.ratio_c),
                 plan.p0,
                 plan.spider_budget,
-                plan.spiders_found,
+                plan.spiders.count,
                 report.p_prime_min,
                 report.final_fidelity,
             )

@@ -112,6 +112,7 @@ def distilled_visibility(p_chunk: float, copies: int) -> tuple[float, int]:
 @dataclass(frozen=True)
 class ProtocolPlan:
     """The graph side of the pipeline, which no link visibility p changes.
+    spiders holds the extracted spiders with their center and subset;
     leg_lengths maps each target, in sorted order, to one leg length per
     spider, or to the one shortest path it falls back on when there is none."""
 
@@ -122,9 +123,7 @@ class ProtocolPlan:
     p0: float
     spider_budget: int
     leg_length_bound: Fraction
-    center: int
-    subset: frozenset
-    spiders_found: int
+    spiders: spiders_mod.SpiderDecomposition
     leg_lengths: dict[int, tuple[int, ...]]
 
     @property
@@ -230,9 +229,11 @@ def ghz_teleport_fidelity(visibilities: Iterable[float]) -> float:
 
 
 def plan_partial_distillation(
-    g: Graph, subset: Iterable, center: int | None = None
+    g: Graph, subset: Iterable, center: int | None = None, max_spiders: int | None = None
 ) -> ProtocolPlan:
-    """Every check and every graph computation of the pipeline, done once.
+    """Every check and every graph computation of the pipeline, done once:
+    the premises, the guarantee's spider budget and leg bound, and the
+    greedy spiders, at most max_spiders of them.
 
     When spider extraction yields nothing (a tree, a star reached away from
     its center, ...), each target falls back to a single teleportation path,
@@ -240,19 +241,16 @@ def plan_partial_distillation(
     connectivity obstruction whenever the edge connectivity is 1.
     """
     verts, center = spiders_mod._check_subset(g.vertex_count, subset, center)
-    lam = edge_connectivity(g)
-    if lam == 0:  # lambda >= 1 exactly when g is connected
-        raise ValueError("premise violated: graph must be connected")
     if center is None:
         center = default_center(g, verts)
-
+    dist = _bfs_distances(g, center)
+    # refuses a disconnected g, so lambda >= 1 below
+    spiders = spiders_mod._greedy_spiders(g, verts, center, dist, max_spiders)
+    lam = edge_connectivity(g)
     dmin = g.min_degree
     c = Fraction(dmin, g.vertex_count)
-    budget = spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(verts))
-    dist = _bfs_distances(g, center)
-    spiders = spiders_mod._greedy_spiders(g, verts, center, dist, None).spiders
     leg_lengths = {
-        t: tuple(len(legs[t]) - 1 for legs in spiders) or (dist[t],)
+        t: tuple(len(legs[t]) - 1 for legs in spiders.spiders) or (dist[t],)
         for t in sorted(verts - {center})
     }
     return ProtocolPlan(
@@ -261,11 +259,9 @@ def plan_partial_distillation(
         edge_connectivity=lam,
         ratio_c=c,
         p0=visibility_threshold(float(c), 2),
-        spider_budget=budget.count,
-        leg_length_bound=budget.leg_length_bound,
-        center=center,
-        subset=verts,
-        spiders_found=len(spiders),
+        spider_budget=spiders_mod._spider_budget(dmin, g.vertex_count, lam, len(verts)),
+        leg_length_bound=spiders_mod._leg_length_bound(dmin, g.vertex_count),
+        spiders=spiders,
         leg_lengths=leg_lengths,
     )
 
@@ -281,13 +277,14 @@ def run_partial_distillation(
     target_state needs one qubit per subset vertex, in sorted vertex order."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"visibility {p} outside [0, 1]")
-    m = len(plan.subset)
+    subset = plan.spiders.subset
+    m = len(subset)
     if target_state is not None and target_state.dims != (2,) * m:
         raise ValueError(
             f"target state dims {target_state.dims} do not match {m} qubit parties"
         )
 
-    copies = plan.spiders_found
+    copies = plan.spiders.count
     uniform_bound = float(plan.leg_length_bound)
     targets = []
     for target, lengths in plan.leg_lengths.items():
@@ -318,7 +315,7 @@ def run_partial_distillation(
     if target_state is None:
         final_fidelity = ghz_teleport_fidelity(t.distilled for t in targets)
     else:
-        position = {vertex: i for i, vertex in enumerate(sorted(plan.subset))}
+        position = {vertex: i for i, vertex in enumerate(sorted(subset))}
         final_fidelity = pure_target_fidelity(
             target_state, {position[t.target]: t.distilled for t in targets}
         )

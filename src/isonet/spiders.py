@@ -1,4 +1,5 @@
-"""Edge-disjoint spider subgraphs: guarantees, extraction, validation.
+"""Edge-disjoint spider subgraphs: the guarantee's budget, extraction,
+validation.
 
 A spider is a tree with one designated center and simple-path legs running
 to a set of target vertices.  Collections of pairwise edge-disjoint spiders
@@ -13,15 +14,9 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .graphs import (
-    INFINITE,
-    Graph,
-    GridGraphSpec,
-    _bfs_distances,
-    edge_connectivity,
-)
+from .graphs import INFINITE, Graph, GridGraphSpec, _bfs_distances
 
 
 @dataclass(frozen=True)
@@ -38,11 +33,6 @@ class SpiderDecomposition:
     @property
     def count(self) -> int:
         return len(self.spiders)
-
-
-class SpiderGuarantee(NamedTuple):
-    count: int
-    leg_length_bound: Fraction
 
 
 def _vertex_id(v) -> int:
@@ -71,35 +61,19 @@ def _check_subset(
     return verts, center
 
 
-def spider_guarantee(g: Graph, subset: Iterable) -> SpiderGuarantee:
-    """Guaranteed number of extractable edge-disjoint spiders and leg bound.
-
-    For a connected graph with minimum degree above 1 and degree ratio
-    c = delta_min/|G|, at least floor(min(delta_min, c*lambda) / (5*m))
-    edge-disjoint spiders with leg lengths at most 5/c exist for any center
-    choice inside a target subset of size m.  Both quantities are returned
-    exactly as rationals/integers.
-    """
-    verts, _ = _check_subset(g.vertex_count, subset)
-    lam = edge_connectivity(g)
-    if lam == 0:  # lambda >= 1 exactly when g is connected
-        raise ValueError("premise violated: graph must be connected")
-    dmin = g.min_degree
-    if dmin <= 1:
-        raise ValueError("premise violated: minimum degree must exceed 1")
-    return _spider_budget(dmin, g.vertex_count, lam, len(verts))
-
-
 def _leg_length_bound(dmin: int, vertex_count: int) -> Fraction:
     """The guarantee's leg bound 5/c, with c = dmin/vertex_count."""
     return Fraction(5 * vertex_count, dmin)
 
 
-def _spider_budget(dmin: int, vertex_count: int, lam: int, m: int) -> SpiderGuarantee:
-    """The guarantee's count and leg bound, with c = dmin/vertex_count."""
+def _spider_budget(dmin: int, vertex_count: int, lam: int, m: int) -> int:
+    """The guarantee's count: a connected graph with minimum degree dmin
+    above 1, degree ratio c = dmin/vertex_count and edge connectivity lam
+    holds at least floor(min(dmin, c*lam) / (5*m)) edge-disjoint spiders
+    with legs of length at most 5/c around any center of a target subset
+    of size m."""
     c = Fraction(dmin, vertex_count)
-    count = int(min(Fraction(dmin), c * lam) / (5 * m))
-    return SpiderGuarantee(count, _leg_length_bound(dmin, vertex_count))
+    return int(min(Fraction(dmin), c * lam) / (5 * m))
 
 
 def extract_spiders(
@@ -114,23 +88,22 @@ def extract_spiders(
     Legs are bundled into complete spiders; extraction stops when the
     residual graph disconnects the center from a target, when a shortest
     path exceeds the guarantee's leg bound 5/c, or when max_spiders is
-    reached.  Whenever the guarantee premises hold, at least
-    spider_guarantee(g, subset).count spiders are produced.
+    reached.  Whenever the guarantee premises hold, at least the spider
+    budget of protocol.plan_partial_distillation is produced.
     """
     verts, center = _check_subset(g.vertex_count, subset, center)
-    if max_spiders is not None and max_spiders < 0:
-        raise ValueError(f"max_spiders {max_spiders} is negative")
-    dist = _bfs_distances(g, center)
-    if INFINITE in dist:
-        raise ValueError("premise violated: graph must be connected")
-    return _greedy_spiders(g, verts, center, dist, max_spiders)
+    return _greedy_spiders(g, verts, center, _bfs_distances(g, center), max_spiders)
 
 
 def _greedy_spiders(
     g: Graph, verts: frozenset, center: int, dist: list, max_spiders: int | None
 ) -> SpiderDecomposition:
-    """extract_spiders on valid arguments, given the center's BFS distances
-    in the connected graph g."""
+    """extract_spiders on a valid subset and center, given the center's BFS
+    distances in g."""
+    if INFINITE in dist:
+        raise ValueError("premise violated: graph must be connected")
+    if max_spiders is not None and max_spiders < 0:
+        raise ValueError(f"max_spiders {max_spiders} is negative")
     # never binding when dmin is 1
     leg_length_bound = _leg_length_bound(g.min_degree, g.vertex_count)
 

@@ -997,16 +997,16 @@ def check_spider_guarantee(seed, tol_scale, fault) -> str:
         n = g.vertex_count
         for m in (2, 3, 4):
             subsets = {tuple(range(m)), _spread_subset(n, m)}
-            guarantee = spiders_mod.spider_guarantee(g, range(m))
+            plan = protocol_mod.plan_partial_distillation(g, range(m), max_spiders=0)
             for subset in subsets:
                 if len(subset) != m:
                     continue
                 for center in subset:
                     where = f"{graph_id} subset={subset} center={center}"
                     dec = spiders_mod.extract_spiders(g, subset, center)
-                    if dec.count < guarantee.count:
+                    if dec.count < plan.spider_budget:
                         raise _Counterexample(
-                            f"{where}: {dec.count} spiders < guaranteed {guarantee.count}"
+                            f"{where}: {dec.count} spiders < guaranteed {plan.spider_budget}"
                         )
                     ceiling = g.degree(center) // (m - 1) - (fault > 0)
                     if dec.count > ceiling:
@@ -1017,7 +1017,7 @@ def check_spider_guarantee(seed, tol_scale, fault) -> str:
                     longest = max(
                         (len(leg) - 1 for legs in dec.spiders for leg in legs.values()), default=0
                     )
-                    if longest > guarantee.leg_length_bound:
+                    if longest > plan.leg_length_bound:
                         raise _Counterexample(f"{where}: leg length {longest} above 5/c")
     return "complete and grid ladders, all floors, ceilings and leg bounds"
 

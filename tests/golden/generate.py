@@ -83,6 +83,10 @@ CASES = [
     ["spider", "--family", "star", "--n", "7", "--subset", "1,4"],
     ["spider", "--family", "cycle", "--n", "40", "--subset", "0,13,27"],
     ["protocol", "--family", "cycle", "--n", "420", "--subset", "0,100", "--p", "0.99"],
+    # a repeated subset vertex: spider echoes the parsed list, protocol the
+    # vertex set
+    ["spider", *_complete(6, "2,0,2")],
+    ["protocol", *_complete(6, "2,0,2", "--p", "0.9")],
     # input errors
     ["spider", *_complete(10, "1,2", "--center", "0")],
     ["protocol", *_complete(10, "1", "--p", "0.9")],

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isonet.cli
 import isonet.protocol
 import isonet.spiders
 from helpers import exact_min_eigenvalue
@@ -256,23 +257,28 @@ def test_protocol_sweep_builds_the_graph_side_once(monkeypatch, capsys):
 
         monkeypatch.setattr(owner, name, counted)
 
+    count(isonet.spiders, "_check_subset")
     count(isonet.protocol, "edge_connectivity")
     count(isonet.spiders, "_greedy_spiders")
     for module in (graphs, isonet.protocol, isonet.spiders):
         count(module, "_bfs_distances")
     count(graphs.GridGraphSpec, "to_graph")
     jobs = (
-        ("complete", "30", "--p", "0.9,0.95,0.99"),  # a sweep: one plan serves every p
-        ("tree", "30", "--seed", "0", "--p", "0.99"),  # no spiders: the fallback legs
+        ("protocol", "complete", "30", "--p", "0.9,0.95,0.99"),  # one plan serves every p
+        ("protocol", "tree", "30", "--seed", "0", "--p", "0.99"),  # no spiders: the fallback
+        ("spider", "complete", "30", "--max-spiders", "2"),  # the same plan as protocol's
     )
-    for family, n, *rest in jobs:
+    once = {"_check_subset": 1, "edge_connectivity": 1, "_greedy_spiders": 1, "_bfs_distances": 1}
+    for command, family, n, *rest in jobs:
         calls.clear()
         code, out, err = run_cli(
-            capsys, "protocol", "--family", family, "--n", n, "--subset", "0,1,2", *rest
+            capsys, command, "--family", family, "--n", n, "--subset", "0,1,2", *rest
         )
         assert code == 0, err
-        assert calls == {"edge_connectivity": 1, "_greedy_spiders": 1, "_bfs_distances": 1}
-    assert "spiders_found = 0" in out  # the tree job fell back
+        assert calls == once
+        if family == "tree":
+            assert "spiders_found = 0" in out  # the tree job fell back
+    assert "spiders = 2" in out.splitlines()
     calls.clear()
     code, _, err = run_cli(
         capsys,
@@ -317,6 +323,53 @@ def test_spider_default_center_is_max_degree(capsys):
     )
     assert code == 0
     assert "center = 0" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [("path", "--n", "9"), ("tree", "--n", "30", "--seed", "4"), ("complete", "--n", "51")],
+)
+def test_spider_guarantee_needs_minimum_degree_above_one(graph, capsys):
+    family, *rest = graph
+    code, out, err = run_cli(capsys, "spider", "--family", family, *rest, "--subset", "0,1")
+    assert code == 0, err
+    (line,) = [line for line in out.splitlines() if line.startswith("guaranteed_spiders")]
+    if family == "complete":
+        # c = 50/51, lambda = 50: floor(min(50, 2500/51) / 10)
+        assert line == "guaranteed_spiders = 4"
+    else:
+        assert line == "guaranteed_spiders = n/a (premise violated: minimum degree must exceed 1)"
+
+
+@pytest.mark.parametrize(
+    "source,extra,message",
+    [
+        (("--family", "complete", "--n", "5"), (), "--method grid needs --family grid"),
+        (
+            ("--edge-list", str(Path(__file__).resolve().parent / "golden" / "broom.edges")),
+            (),
+            "--method grid needs --family grid",
+        ),
+        (
+            ("--family", "grid", "--n", "5", "--k", "2"),
+            ("--max-spiders", "1"),
+            "--max-spiders needs --method greedy",
+        ),
+    ],
+    ids=["family", "edge-list", "max-spiders"],
+)
+def test_spider_refuses_flag_combinations_before_any_graph(
+    source, extra, message, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was loaded or built")
+
+    monkeypatch.setattr(isonet.cli, "generate", refuse)
+    monkeypatch.setattr(isonet.cli, "read_edge_list", refuse)
+    code, out, err = run_cli(
+        capsys, "spider", *source, "--subset", "0,24", "--method", "grid", *extra
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_protocol_subset_validation(capsys):

@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,8 +33,8 @@ from isonet import (
     recurrence_step,
     run_partial_distillation,
     simulate_partial_distillation,
-    spider_guarantee,
     star_graph,
+    validate_spiders,
     visibility_from_fidelity,
     visibility_threshold,
 )
@@ -150,7 +152,7 @@ def test_simulation_fidelity_monotone_in_visibility():
 
 def test_simulation_star_graph_obstruction():
     report = simulate_partial_distillation(star_graph(8), (1, 2, 3), 0.95)
-    assert report.plan.spiders_found == 0
+    assert report.plan.spiders.count == 0
     assert report.plan.necessary_condition_violated
     # fallback teleports over single shortest paths of length 2
     assert all(lengths == (2,) for lengths in report.plan.leg_lengths.values())
@@ -204,8 +206,8 @@ def test_plan_holds_the_graph_side():
     assert plan.edge_connectivity == edge_connectivity(g)
     assert plan.ratio_c == Fraction(dmin, 12)
     assert plan.leg_length_bound == Fraction(5 * 12, dmin)
-    dec = extract_spiders(g, (0, 3, 7), plan.center)
-    assert plan.spiders_found == dec.count > 0
+    dec = extract_spiders(g, (0, 3, 7), plan.spiders.center)
+    assert plan.spiders == dec and dec.count > 0
     assert plan.leg_lengths == {
         t: tuple(len(legs[t]) - 1 for legs in dec.spiders) for t in (3, 7)
     }
@@ -218,11 +220,12 @@ def test_plan_holds_the_graph_side():
 def test_plan_falls_back_to_one_shortest_path_per_target():
     g = random_tree(10, seed=3)
     plan = plan_partial_distillation(g, (0, 1, 2))
-    assert plan.spiders_found == 0
+    assert plan.spiders.count == 0
     assert plan.edge_connectivity == edge_connectivity(g) == 1
     assert plan.min_degree == min(map(g.degree, range(g.vertex_count))) == 1
-    dist = _bfs_distances(g, plan.center)
-    assert plan.leg_lengths == {t: (dist[t],) for t in sorted({0, 1, 2} - {plan.center})}
+    center = plan.spiders.center
+    dist = _bfs_distances(g, center)
+    assert plan.leg_lengths == {t: (dist[t],) for t in sorted({0, 1, 2} - {center})}
     assert plan.necessary_condition_violated
     report = run_partial_distillation(plan, 0.9)
     assert all(t.copies_consumed == 0 for t in report.targets)
@@ -246,7 +249,6 @@ def test_subset_vertices_are_read_as_integers_everywhere():
     functions = (
         lambda subset, center: plan_partial_distillation(g, subset, center),
         lambda subset, center: extract_spiders(g, subset, center),
-        lambda subset, center: spider_guarantee(g, subset),
     )
     for function in functions:
         with pytest.raises(ValueError, match=r"^vertex 1\.5 is not an integer$"):
@@ -257,9 +259,8 @@ def test_subset_vertices_are_read_as_integers_everywhere():
         plan_partial_distillation(g, (0, 1), 1.0)
     wide = (np.int64(0), np.int64(3))
     plan = plan_partial_distillation(g, wide, np.int64(3))
-    assert plan.subset == {0, 3} and plan.center == 3
+    assert plan.spiders.subset == {0, 3} and plan.spiders.center == 3
     assert extract_spiders(g, wide, np.int64(0)) == extract_spiders(g, (0, 3), 0)
-    assert spider_guarantee(g, wide) == spider_guarantee(g, (0, 3))
 
 
 def test_every_returned_vertex_is_an_int():
@@ -276,8 +277,24 @@ def test_every_returned_vertex_is_an_int():
     grid = grid_spiders(GridGraphSpec(5, 2), (np.int64(0), np.int64(12)), np.int64(12))
     plan = plan_partial_distillation(complete_graph(5), wide, np.int64(3))
     assert dec.spiders and grid.spiders
-    found = [*vertices(dec), *vertices(grid), plan.center, *plan.subset, *plan.leg_lengths]
+    found = [*vertices(dec), *vertices(grid), *vertices(plan.spiders), *plan.leg_lengths]
     assert all(type(v) is int for v in found), [type(v) for v in found]
+
+
+def test_plan_spiders_are_the_greedy_extraction():
+    # random connected graphs: a random tree plus chords
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        chords = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        g = Graph(n, [*tree, *chords])
+        subset = rng.sample(range(n), rng.randint(2, min(5, n)))
+        center = rng.choice(subset)
+        for max_spiders in (None, 0, 1, 3):
+            plan = plan_partial_distillation(g, subset, center, max_spiders)
+            assert plan.spiders == extract_spiders(g, subset, center, max_spiders)
+            assert validate_spiders(plan.spiders, g) is None
 
 
 def test_plan_refuses_a_disconnected_graph():

@@ -16,7 +16,7 @@ from isonet import (
     grid_graph,
     grid_spiders,
     path_graph,
-    spider_guarantee,
+    plan_partial_distillation,
     star_graph,
     validate_spiders,
 )
@@ -28,41 +28,42 @@ from isonet.verification import (
 
 
 def test_guarantee_arithmetic_on_k51():
-    guarantee = spider_guarantee(complete_graph(51), {0, 1})
+    plan = plan_partial_distillation(complete_graph(51), {0, 1})
     # c = 50/51, lambda = 50: floor(min(50, 2500/51) / 10) = 4, bound 5/c
-    assert guarantee.count == 4
-    assert guarantee.leg_length_bound == Fraction(51, 10)
+    assert plan.spider_budget == 4
+    assert plan.leg_length_bound == Fraction(51, 10)
 
 
 def test_guarantee_zero_when_budget_too_small():
     # min(dmin, c*lambda) < 5*|subset| makes the floor vanish
-    guarantee = spider_guarantee(complete_graph(6), {0, 1, 2, 3})
-    assert guarantee.count == 0
+    plan = plan_partial_distillation(complete_graph(6), {0, 1, 2, 3})
+    assert plan.spider_budget == 0
 
 
 def test_guarantee_on_grid_uses_measured_connectivity():
     g = grid_graph(4, 2)
     dmin = g.min_degree
     lam = edge_connectivity(g)
-    guarantee = spider_guarantee(g, {0, 5})
+    plan = plan_partial_distillation(g, {0, 5})
     expected = int(
         min(Fraction(dmin), Fraction(dmin, g.vertex_count) * lam) / (5 * 2)
     )
-    assert guarantee.count == expected
+    assert plan.spider_budget == expected
 
 
 def test_guarantee_premises():
-    # checked in this order: the subset, connectivity, then minimum degree
+    # checked in this order: the subset, then connectivity; `isonet spider`
+    # reports the minimum degree premise
     disconnected = "^premise violated: graph must be connected$"
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(ValueError, match=disconnected):
-        spider_guarantee(two_triangles, {0, 3})  # min degree 2
+        plan_partial_distillation(two_triangles, {0, 3})  # min degree 2
     with pytest.raises(ValueError, match=disconnected):
-        spider_guarantee(Graph(4, [(0, 1), (2, 3)]), {0, 2})  # min degree 1
-    with pytest.raises(ValueError, match="^premise violated: minimum degree must exceed 1$"):
-        spider_guarantee(path_graph(6), {0, 5})
+        plan_partial_distillation(Graph(4, [(0, 1), (2, 3)]), {0, 2})  # min degree 1
     with pytest.raises(ValueError, match="^the target subset needs at least two vertices$"):
-        spider_guarantee(Graph(4, [(0, 1), (2, 3)]), {2})
+        plan_partial_distillation(Graph(4, [(0, 1), (2, 3)]), {2})
+    with pytest.raises(ValueError, match=r"^vertex 4 outside range \[0, 4\)$"):
+        plan_partial_distillation(Graph(4, [(0, 1), (2, 3)]), {0, 4})
 
 
 def test_extraction_meets_guarantee_on_complete_graphs():
@@ -70,13 +71,13 @@ def test_extraction_meets_guarantee_on_complete_graphs():
         g = complete_graph(n)
         for m in (2, 3, 4):
             subset = tuple(range(m))
-            guarantee = spider_guarantee(g, subset)
+            plan = plan_partial_distillation(g, subset, max_spiders=0)
             for center in subset:
                 dec = extract_spiders(g, subset, center)
-                assert dec.count >= guarantee.count
+                assert dec.count >= plan.spider_budget
                 assert validate_spiders(dec, g) is None
                 assert all(
-                    len(leg) - 1 <= guarantee.leg_length_bound
+                    len(leg) - 1 <= plan.leg_length_bound
                     for legs in dec.spiders
                     for leg in legs.values()
                 )
@@ -109,9 +110,9 @@ def test_inductive_step_replay():
     # room to extract one more
     g = complete_graph(60)
     subset = (0, 1)
-    guarantee = spider_guarantee(g, subset)
-    assert guarantee.count == 5
-    dec = extract_spiders(g, subset, 0, max_spiders=guarantee.count - 1)
+    budget = plan_partial_distillation(g, subset).spider_budget
+    assert budget == 5
+    dec = extract_spiders(g, subset, 0, max_spiders=budget - 1)
     residual = g
     for legs in dec.spiders:
         for leg in legs.values():
