@@ -43,6 +43,9 @@ class Graph:
 
     vertex_count: int
     _adjacency: tuple
+    # set only by the generators of vertex-transitive families; a class
+    # attribute, not a field, so equality, hashing and repr ignore it
+    _vertex_transitive = False
 
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
@@ -59,13 +62,20 @@ class Graph:
         object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adj))
 
     @classmethod
-    def _of(cls, adjacency: tuple) -> Graph:
+    def _of(cls, adjacency: tuple, vertex_transitive: bool = False) -> Graph:
         """The graph of an adjacency stored as given, with no check: the
         caller guarantees one sorted tuple of neighbours per vertex, no
-        self-loop or repeat, and every arc matched by its reverse."""
+        self-loop or repeat, and every arc matched by its reverse.
+
+        vertex_transitive=True is the caller's proof that the graph is
+        connected and that its automorphisms map any vertex to any other;
+        edge_connectivity and diameter read it.  Only complete_graph,
+        cycle_graph and GridGraphSpec.to_graph give it: their graphs are
+        Cayley graphs, connected at every size they accept."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", len(adjacency))
         object.__setattr__(g, "_adjacency", adjacency)
+        object.__setattr__(g, "_vertex_transitive", vertex_transitive)
         return g
 
     @cached_property
@@ -130,7 +140,7 @@ def diameter(g: Graph):
 
     - Complete: 2m = n(n - 1).  A simple graph with that many edges joins
       every pair, so the diameter is 1.  Otherwise one BFS from vertex 0
-      decides connectivity, and its distances serve the next two.
+      decides connectivity, and its distances serve the rest.
     - Tree: m = n - 1.  A connected graph with n - 1 edges is a tree, and
       in a tree the farthest vertex from any vertex ends a longest path
       (Bulterman et al., "On computing a longest path in a tree", IPL 81,
@@ -138,6 +148,12 @@ def diameter(g: Graph):
     - Cycle: maximum degree 2 and not a tree.  A connected graph of maximum
       degree 2 is a path or a cycle, and a path is a tree, so this is C_n,
       whose diameter is n // 2.
+
+    Any other graph that its generator marks vertex-transitive (see
+    Graph._of), a Hamming grid, reads its diameter off the same BFS from
+    vertex 0: an automorphism maps 0 to any vertex v and preserves
+    distances, so ecc(v) = ecc(0), and the diameter, the largest
+    eccentricity, is ecc(0).
 
     Every other graph takes a word-parallel BFS from all sources at once
     (Then et al., "The More the Merrier", VLDB 2014).  Sources go in blocks
@@ -172,6 +188,8 @@ def diameter(g: Graph):
         return max(_bfs_distances(g, dist.index(max(dist))))
     if g.max_degree == 2:
         return n // 2
+    if g._vertex_transitive:
+        return max(dist)
     import numpy as np
 
     # connected with n >= 2: every degree is at least 1
@@ -408,9 +426,21 @@ def _connectivity_up_to_two(g: Graph) -> int:
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut: a bridge search when delta_min <= 2, otherwise
-    max flows from each new vertex of a growing dominating set into the
-    vertices already chosen.
+    """Global minimum edge cut: delta_min on a graph marked vertex-transitive,
+    a bridge search when delta_min <= 2, otherwise max flows from each new
+    vertex of a growing dominating set into the vertices already chosen.
+
+    Vertex-transitive graphs.  A connected vertex-transitive graph has lambda
+    = delta_min (W. Mader, "Minimale n-fach kantenzusammenhaengende Graphen",
+    Math. Ann. 191, 1971), so a graph its generator marks so (see Graph._of)
+    takes neither search.  In short: suppose lambda < delta_min, and call an
+    atom a smallest side A of a minimum cut.  Distinct atoms are disjoint,
+    and automorphisms map atoms to atoms, so the atoms are blocks: those
+    that fix A act transitively on it, and G[A] is regular of some degree
+    delta_A.  G is connected, so delta_A < delta_min and lambda = |A|
+    (delta_min - delta_A) >= |A|.  But a side of a cut below delta_min has
+    more than delta_min vertices (Exactness, below), so lambda >= |A| >
+    delta_min, a contradiction.
 
     Small minimum degree.  The edges at a vertex of minimum degree form a
     cut, so lambda <= delta_min; lambda >= 1 exactly when g is connected, and
@@ -444,12 +474,15 @@ def edge_connectivity(g: Graph) -> int:
     of v instead of running out to the far side of the graph.  One flow
     network is built per graph, and each flow restores only the arcs that
     the one before it pushed along, so a flow pays for the arcs it touches
-    and not for all 2m: on the hypercube Q14, 8,191 flows over 229,376 arcs.
-    Augmentation is iterative, so no input reaches the recursion limit.
+    and not for all 2m: on the hypercube Q14 read from an edge list, 8,191
+    flows over 229,376 arcs.  Augmentation is iterative, so no input reaches
+    the recursion limit.
     """
     if g.vertex_count < 2:
         raise ValueError("edge connectivity needs at least two vertices")
     best = g.min_degree
+    if g._vertex_transitive:
+        return best
     if best <= 2:
         return min(best, _connectivity_up_to_two(g))
     adjacency = g._adjacency
@@ -482,14 +515,14 @@ def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     ids = tuple(range(n))
-    return Graph._of(tuple(ids[:v] + ids[v + 1 :] for v in ids))
+    return Graph._of(tuple(ids[:v] + ids[v + 1 :] for v in ids), vertex_transitive=True)
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle graph needs n >= 3")
     inner = ((v - 1, v + 1) for v in range(1, n - 1))
-    return Graph._of(((1, n - 1), *inner, (0, n - 2)))
+    return Graph._of(((1, n - 1), *inner, (0, n - 2)), vertex_transitive=True)
 
 
 def path_graph(n: int) -> Graph:
@@ -581,6 +614,10 @@ class GridGraphSpec:
         b * size + r for every b != a, and a * size + w for every neighbour w
         of r.  The latter lie in [a * size, (a + 1) * size), so those with
         b < a, then those, then those with b > a come in sorted order.
+
+        The grid is the Cayley graph of Z_n^k whose generators change one
+        coordinate: x -> x + g is an automorphism for every g, so the graph
+        is marked vertex-transitive, and it is connected.
         """
         n = self.n
         adjacency = complete_graph(n)._adjacency
@@ -594,7 +631,7 @@ class GridGraphSpec:
                     grown.append(column[:a] + tuple([base + w for w in inner]) + column[a + 1 :])
             adjacency = tuple(grown)
             size *= n
-        return Graph._of(adjacency)
+        return Graph._of(adjacency, vertex_transitive=True)
 
 
 def grid_graph(n: int, k: int) -> Graph:

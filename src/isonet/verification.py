@@ -384,6 +384,18 @@ def _all_targets_edge_connectivity(g: Graph) -> int:
     return best
 
 
+def _with_unflagged_copies(graphs: list) -> list:
+    """The named graphs, each followed by its copy rebuilt from its edges.
+    A copy is equal to its graph, but no generator marks it
+    vertex-transitive, so edge_connectivity and diameter take their general
+    routes on it."""
+    return [
+        pair
+        for graph_id, g in graphs
+        for pair in ((graph_id, g), (f"{graph_id}-unflagged", Graph(g.vertex_count, g.edges)))
+    ]
+
+
 def _per_source_diameter(g: Graph):
     """Largest pairwise distance by one BFS from every vertex; INFINITE when
     the graph is not connected."""
@@ -877,11 +889,14 @@ def check_menger_duality(seed, tol_scale, fault) -> str:
 
 def check_edge_connectivity_reduction(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 4)
+    # the vertex-transitive families as generated, which take lambda = delta,
+    # and as unflagged copies, which take the bridge search or the flows
     graphs = [(f"complete-{n}", complete_graph(n)) for n in (2, 3, 4, 7, 16, 33, 60)]
     graphs += [(f"grid-{n}-{k}", grid_graph(n, k)) for n, k in ((4, 3), (3, 4), (5, 3), (4, 4))]
     # hypercubes, the grids at n = 2: the id-order dominating set is half of them
     graphs += [(f"hypercube-{k}", grid_graph(2, k)) for k in range(2, 11)]
     graphs += [(f"cycle-{n}", cycle_graph(n)) for n in (3, 4, 9, 40)]
+    graphs = _with_unflagged_copies(graphs)
     graphs += [(f"star-{n}", star_graph(n)) for n in (2, 5, 30)]
     graphs += [(f"path-{n}", path_graph(n)) for n in (2, 3, 25)]
     graphs += [(f"tree-{n}", random_tree(n, seed=seed + n)) for n in (3, 12, 50)]
@@ -906,18 +921,22 @@ def check_edge_connectivity_reduction(seed, tol_scale, fault) -> str:
         g = _planted_cut(rng, *(grid_graph(n, d) for n, d in sides), k)
         graphs.append((f"planted-grids-{trial}-{k}", g))
     graphs += _low_degree_graphs(rng)
+    twins = {}  # an unflagged copy equals its graph, and shares its twin
     for graph_id, g in graphs:
         fast = edge_connectivity(g) + fault
-        twin = _all_targets_edge_connectivity(g)
+        if g not in twins:
+            twins[g] = _all_targets_edge_connectivity(g)
+        twin = twins[g]
         if fast != twin:
             raise _Counterexample(
                 f"{graph_id}: edge_connectivity {fast}, all-targets flows {twin} "
                 f"on {sorted(g.edges)}"
             )
     return (
-        f"{len(graphs)} graphs: families, Hamming grids, hypercubes Q2-Q10, random, "
-        "disconnected, planted cuts between cliques and between grids, minimum degree "
-        "<= 2 with bridges and cut vertices; exact"
+        f"{len(graphs)} graphs: families, Hamming grids, hypercubes Q2-Q10, the "
+        "vertex-transitive ones also unflagged, random, disconnected, planted cuts "
+        "between cliques and between grids, minimum degree <= 2 with bridges and cut "
+        "vertices; exact"
     )
 
 
@@ -925,12 +944,16 @@ def check_diameter_all_sources(seed, tol_scale, fault) -> str:
     rng = random.Random(seed + 5)
     graphs = [("empty-0", Graph(0)), ("empty-1", Graph(1)), ("empty-2", Graph(2))]
     graphs += [("edge-2", Graph(2, [(0, 1)])), ("isolated-5", Graph(5, [(0, 1), (1, 2), (2, 3)]))]
-    graphs += [(f"complete-{n}", complete_graph(n)) for n in (1, 2, 3, 17, 64, 65)]
-    graphs += [(f"cycle-{n}", cycle_graph(n)) for n in (3, 4, 9, 10, 63, 64, 65, 129)]
+    # the vertex-transitive families as generated, which read ecc(0), and as
+    # unflagged copies, which take the closed forms or the all-sources BFS
+    marked = [(f"complete-{n}", complete_graph(n)) for n in (1, 2, 3, 17, 64, 65)]
+    marked += [(f"cycle-{n}", cycle_graph(n)) for n in (3, 4, 9, 10, 63, 64, 65, 129)]
+    marked += [(f"hypercube-{k}", grid_graph(2, k)) for k in range(2, 9)]
+    marked += [(f"grid-{n}-{k}", grid_graph(n, k)) for n, k in ((4, 3), (3, 4), (5, 3), (12, 2))]
+    graphs += _with_unflagged_copies(marked)
     graphs += [(f"path-{n}", path_graph(n)) for n in (1, 2, 3, 25, 63, 64, 65, 129)]
     graphs += [(f"star-{n}", star_graph(n)) for n in (2, 5, 65)]
     graphs += [(f"tree-{n}", random_tree(n, seed=seed + n)) for n in (1, 2, 12, 63, 64, 65, 129)]
-    graphs += [("grid-4-3", grid_graph(4, 3)), ("grid-3-4", grid_graph(3, 4))]
     for n in (63, 64, 65, 129):  # sources fill a word exactly, or spill into the next
         for density in (0.02, 0.05, 0.2):
             graphs.append((f"random-{n}-{density}", random_graph(rng, n, density)))
@@ -964,7 +987,8 @@ def check_diameter_all_sources(seed, tol_scale, fault) -> str:
                 f"on {sorted(g.edges)}"
             )
     return (
-        f"{len(graphs)} graphs: families, n = 0..2, isolated vertices, word "
+        f"{len(graphs)} graphs: families, hypercubes Q2-Q8 and Hamming grids, the "
+        "vertex-transitive ones also unflagged, n = 0..2, isolated vertices, word "
         "boundaries at n = 63..65 and 129, random connected and not, brooms, "
         "caterpillars, a hub with two long tails, cycle-659 and path-1200 for "
         "the closed forms; knotted paths at n = 63..65 and 129, "
@@ -1329,8 +1353,10 @@ _GENERATED_FAMILIES = [
 
 def check_family_generators(seed, tol_scale, fault) -> str:
     """Each generator against Graph(n, edges) on its family's edge formula:
-    equal graphs with equal hashes.  Under a fault the formula drops its
-    last edge."""
+    equal graphs with equal hashes.  The complete, cycle and grid members,
+    and they alone, are marked vertex-transitive: no path, star or tree, and
+    no graph built from edges.  Under a fault the formula drops its last
+    edge."""
     for family, n, k in _GENERATED_FAMILIES:
         g = generate(family, n, k)
         edges = _family_edges(family, n, k)
@@ -1342,10 +1368,20 @@ def check_family_generators(seed, tol_scale, fault) -> str:
             raise _Counterexample(
                 f"{family} n={n} k={k}: the generator and the edge formula differ in {differ}"
             )
+        marked = family in ("complete", "cycle", "grid")
+        if g._vertex_transitive != marked or twin._vertex_transitive:
+            raise _Counterexample(
+                f"{family} n={n} k={k}: marked vertex-transitive {g._vertex_transitive}, "
+                f"expected {marked}; its twin from edges {twin._vertex_transitive}"
+            )
+    trees = [generate("tree", n, seed=seed + n) for n in (1, 2, 3, 30)]
+    if any(tree._vertex_transitive for tree in trees):
+        raise _Counterexample("a random tree is marked vertex-transitive")
     return (
         f"{len(_GENERATED_FAMILIES)} members of the complete, cycle, path, star "
         "and grid families, K1, K2, C3, P1, P2, the star on 2 vertices, grids "
-        "with k = 1 or n = 2 included; equal graphs and hashes"
+        "with k = 1 or n = 2 included; equal graphs and hashes; the complete, "
+        "cycle and grid members alone marked vertex-transitive, and no tree"
     )
 
 

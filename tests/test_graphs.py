@@ -419,6 +419,32 @@ def test_removing_fewer_than_connectivity_edges_keeps_graph_connected():
         assert INFINITE not in _bfs_distances(_remove_path_edges(g, path), 0)
 
 
+_VERTEX_TRANSITIVE = [
+    *(("complete", n, None) for n in range(2, 13)),
+    *(("cycle", n, None) for n in range(3, 21)),
+    *(("grid", 2, k) for k in range(1, 9)),
+    *(("grid", n, k) for n, k in ((3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (12, 2))),
+]
+
+
+@pytest.mark.parametrize("family, n, k", _VERTEX_TRANSITIVE)
+def test_vertex_transitive_families_match_their_unflagged_copies(family, n, k):
+    g = generate(family, n, k=k)
+    copy = Graph(g.vertex_count, g.edges)
+    assert g._vertex_transitive and not copy._vertex_transitive
+    assert g == copy and hash(g) == hash(copy)
+    assert edge_connectivity(g) == edge_connectivity(copy)
+    assert diameter(g) == diameter(copy)
+
+
+def test_generated_grids_take_no_flow(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a flow network was built")
+
+    monkeypatch.setattr(graphs, "_UnitFlow", refuse)
+    assert edge_connectivity(generate("grid", 4, k=4)) == 12
+
+
 def test_grid_generation():
     cube = generate("grid", 2, k=3)
     assert cube.vertex_count == 8

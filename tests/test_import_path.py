@@ -1,8 +1,8 @@
-"""The `protocol` and `spider` commands run without numpy: importing the CLI
-and running both commands leaves it unloaded, while every module the CLI
-binds is loaded.  The dense layer is on no CLI path but `verify`: after
-`graph` and `ppt-scan` too, isonet.hilbert is still unloaded, and it still
-imports on request."""
+"""The `protocol` and `spider` commands, and `graph` on a generated grid, run
+without numpy: importing the CLI and running these commands leaves it
+unloaded, while every module the CLI binds is loaded.  The dense layer is on
+no CLI path but `verify`: after `ppt-scan` too, isonet.hilbert is still
+unloaded, and it still imports on request."""
 
 import json
 import os
@@ -22,11 +22,11 @@ with contextlib.redirect_stdout(io.StringIO()):
                          "--subset", "0,1,2,3,4,5,6,7,8,9", "--p", "0.99"]),
         isonet.cli.main(["spider", "--family", "complete", "--n", "40",
                          "--subset", "0,1,2"]),
+        isonet.cli.main(["graph", "--family", "grid", "--n", "4", "--k", "3"]),
     ]
 after_jobs = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     codes += [
-        isonet.cli.main(["graph", "--family", "grid", "--n", "4", "--k", "3"]),
         isonet.cli.main(["ppt-scan", "--n", "5:21", "--p", "0.5,0.6", "--w", "4"]),
     ]
 hilbert_loaded = "isonet.hilbert" in sys.modules
