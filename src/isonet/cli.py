@@ -189,6 +189,7 @@ def cmd_spider(args) -> int:
 def cmd_ppt_scan(args) -> int:
     p_values = _parse_list(args.p, float, "number list")
     n_values = _parse_int_values(args.n)
+    check_size(len(n_values) * len(p_values), "ppt-scan row count")
     w = args.w
     if w < 1:
         raise ValueError("--w must be at least 1")

@@ -5,8 +5,9 @@ transpose of the teleported GHZ state across any bipartition.  The state is
 permutation invariant, so every quantity here depends on the bipartition
 only through its cut size w, the number of qubits on one side; exponentials
 are evaluated in log space so that large qubit counts neither overflow nor
-underflow.  The full eigenvalue table, indexed by basis integer and sign,
-is the oracle in isonet.verification.
+underflow.  The module needs only the math library, so `ppt-scan` never
+imports numpy.  The full eigenvalue table, indexed by basis integer and
+sign, is the oracle in isonet.verification.
 """
 
 from __future__ import annotations
@@ -15,15 +16,6 @@ import math
 from typing import Callable
 
 _LOG2 = math.log(2.0)
-_numpy = None  # numpy once _mixed_term has needed it; no other command loads it
-
-
-def _import_numpy():
-    global _numpy
-    import numpy
-
-    _numpy = numpy
-    return numpy
 
 
 def _check_cut(n: int, w: int):
@@ -32,12 +24,13 @@ def _check_cut(n: int, w: int):
 
 
 def _mixed_term(n: int, p: float, w: int) -> float:
-    """[(1+p)^(n-w)(1-p)^w + (1-p)^(n-w)(1+p)^w] / 2^(n+1), in log space."""
+    """[(1+p)^(n-w)(1-p)^w + (1-p)^(n-w)(1+p)^w] / 2^(n+1), in log space.
+
+    The printed min_eigenvalue digits come from this value, so any change
+    to how it leaves log space (here one math.exp) changes ppt-scan output."""
     if p == 1.0:
         return 0.5 if w == 0 else 0.0
-    # np.exp, not math.exp: numpy's SIMD exp can differ from libm's in the
-    # last ulp, and the printed min_eigenvalue digits come from this value
-    return float((_numpy or _import_numpy()).exp(_log_mixed_term(n, p, w)))
+    return math.exp(_log_mixed_term(n, p, w))
 
 
 def _log_mixed_term(n: int, p: float, w: int) -> float:

@@ -189,6 +189,8 @@ PPT_CASES = [
     ["ppt-scan", "--n", "2:3", "--p", "0.9", "--w", "x"],
     # a range longer than graphs.MAX_SIZE, refused before it is expanded
     ["ppt-scan", "--n", "2:1000000000", "--p", "0.9"],
+    # each range fits, but the rows, one per (n, p), number 1,999,998
+    ["ppt-scan", "--n", "2:1000000", "--p", "0.9,0.95"],
 ]
 
 

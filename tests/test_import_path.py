@@ -1,8 +1,8 @@
-"""The `protocol` and `spider` commands, and `graph` on a generated grid, run
-without numpy: importing the CLI and running these commands leaves it
-unloaded, while every module the CLI binds is loaded.  The dense layer is on
-no CLI path but `verify`: after `ppt-scan` too, isonet.hilbert is still
-unloaded, and it still imports on request."""
+"""The `protocol`, `spider` and `ppt-scan` commands, and `graph` on a
+generated grid, run without numpy: importing the CLI and running these
+commands leaves it unloaded, while every module the CLI binds is loaded.
+The dense layer is on no CLI path but `verify`: isonet.hilbert is still
+unloaded after them all, and it still imports on request."""
 
 import json
 import os
@@ -23,12 +23,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         isonet.cli.main(["spider", "--family", "complete", "--n", "40",
                          "--subset", "0,1,2"]),
         isonet.cli.main(["graph", "--family", "grid", "--n", "4", "--k", "3"]),
-    ]
-after_jobs = "numpy" in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    codes += [
         isonet.cli.main(["ppt-scan", "--n", "5:21", "--p", "0.5,0.6", "--w", "4"]),
     ]
+after_jobs = "numpy" in sys.modules
 hilbert_loaded = "isonet.hilbert" in sys.modules
 modules = ["cli", "graphs", "spiders", "channels", "protocol", "spectra", "verification"]
 missing = [m for m in modules if f"isonet.{m}" not in sys.modules]

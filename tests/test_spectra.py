@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -280,6 +282,29 @@ def test_min_eigenvalue_log_matches_exact_decimal_where_the_float_underflows(n, 
     exact = exact_min_eigenvalue(n, p, w)
     assert sign == (1 if exact > 0 else -1)
     assert math.isclose(log_abs, float(abs(exact).ln()), rel_tol=1e-14, abs_tol=0.0)
+
+
+def test_min_eigenvalue_matches_exact_decimal():
+    # seeded draws at n <= 2,000, with visibilities spread over (0, 1) and
+    # crowded towards 1; a draw is skipped where mixed(w) - p^n/2 cancels
+    # (|mixed(w) - p^n/2| < p^n/2), which magnifies the last-ulp error of
+    # each term, or where the exact value is no normal float
+    rng = random.Random(2029)
+    compared = 0
+    for _ in range(3000):
+        n = rng.randint(2, 2000)
+        w = rng.randint(1, n - 1)
+        p = rng.random() if rng.random() < 0.5 else 1.0 - 10.0 ** -rng.uniform(1.0, 7.0)
+        shift = p**n / 2
+        if abs(_mixed_term(n, p, w) - shift) < shift:
+            continue
+        exact = exact_min_eigenvalue(n, p, w)
+        if abs(exact) < sys.float_info.min:
+            continue
+        value = min_eigenvalue_teleported_ghz(n, p, w)
+        assert math.isclose(value, float(exact), rel_tol=1e-12, abs_tol=0.0), (n, p, w)
+        compared += 1
+    assert compared >= 2000
 
 
 def test_crossover_monotone_in_cut_size_and_visibility():
