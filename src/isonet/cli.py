@@ -24,12 +24,7 @@ from .graphs import (
     read_edge_list,
 )
 from .protocol import RECURRENCE_MODEL_NOTE, plan_partial_distillation, run_partial_distillation
-from .spectra import (
-    _ppt_sign_test,
-    min_eigenvalue_log,
-    min_eigenvalue_teleported_ghz,
-    ppt_crossover,
-)
+from .spectra import _min_eigenvalue_of, _ppt_sign_test, min_eigenvalue_log, ppt_crossover
 from .spiders import decomposition_lines, grid_spiders
 
 
@@ -44,11 +39,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_min_eigenvalue(n: int, p: float, w: int) -> str:
-    """_fmt of the minimum eigenvalue, unless it underflows to 0: then its
-    sign and 12 significant digits with a decimal exponent, from log10|value|
-    (float() of that text still reads 0.0)."""
-    value = min_eigenvalue_teleported_ghz(n, p, w)
+def _fmt_min_eigenvalue(value: float, n: int, p: float, w: int) -> str:
+    """_fmt of the minimum eigenvalue value at (n, p, w), unless it
+    underflows to 0: then its sign and 12 significant digits with a decimal
+    exponent, from log10|value| (float() of that text still reads 0.0)."""
     if value != 0.0:
         return _fmt(value)
     sign, log_abs = min_eigenvalue_log(n, p, w)
@@ -198,27 +192,20 @@ def cmd_ppt_scan(args) -> int:
             raise ValueError("p must be < 1 for crossover (and > 0)")
     if any(n <= w for n in n_values):
         raise ValueError(f"every n must exceed w={w}")
-    crossovers = {p: ppt_crossover(p, w) for p in p_values}
-    # is_ppt_teleported_ghz's own test, built once per p: p and n are valid here
-    sign_tests = {p: _ppt_sign_test(p, w) for p in p_values}
-
-    def row(point):
-        n, p = point
-        return ",".join(
-            [
-                _fmt(n),
-                _fmt(p),
-                _fmt(w),
-                _fmt_min_eigenvalue(n, p, w),
-                _fmt(sign_tests[p](n)),
-                _fmt(n == crossovers[p]),
-            ]
-        )
-
-    points = [(n, p) for p in p_values for n in n_values]
     lines = _header(args)
     lines.append("n,p,w,min_eigenvalue,is_ppt,n0_flag")
-    lines.extend(map(row, points))
+    for p in p_values:
+        n0 = ppt_crossover(p, w)
+        # is_ppt_teleported_ghz's own test and the min_eigenvalue_teleported_ghz
+        # kernel, built once per p: p and every n are valid here
+        nonnegative = _ppt_sign_test(p, w)
+        min_eigenvalue = _min_eigenvalue_of(p, w)
+        middle = f",{_fmt(p)},{w},"
+        lines.extend(
+            f"{n}{middle}{_fmt_min_eigenvalue(min_eigenvalue(n), n, p, w)},"
+            f"{'1' if nonnegative(n) else '0'},{'1' if n == n0 else '0'}"
+            for n in n_values
+        )
     _emit(lines, args.out)
     return 0
 

@@ -123,13 +123,17 @@ def _bfs_distances(g: Graph, source: int) -> list:
     adjacency = g._adjacency
     dist = [INFINITE] * g.vertex_count
     dist[source] = 0
+    # once every vertex is labelled no distance can change, so the arcs of
+    # the vertices still queued need no scan: from the center of K_n, n - 1
+    unlabelled = g.vertex_count - 1
     queue = deque([source])
-    while queue:
+    while queue and unlabelled:
         u = queue.popleft()
         for w in adjacency[u]:
             if dist[w] == INFINITE:
                 dist[w] = dist[u] + 1
                 queue.append(w)
+                unlabelled -= 1
     return dist
 
 

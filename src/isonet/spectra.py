@@ -24,22 +24,48 @@ def _check_cut(n: int, w: int):
 
 
 def _mixed_term(n: int, p: float, w: int) -> float:
-    """[(1+p)^(n-w)(1-p)^w + (1-p)^(n-w)(1+p)^w] / 2^(n+1), in log space.
-
-    The printed min_eigenvalue digits come from this value, so any change
-    to how it leaves log space (here one math.exp) changes ppt-scan output."""
+    """[(1+p)^(n-w)(1-p)^w + (1-p)^(n-w)(1+p)^w] / 2^(n+1), in log space,
+    left by one math.exp as in _min_eigenvalue_of."""
     if p == 1.0:
         return 0.5 if w == 0 else 0.0
-    return math.exp(_log_mixed_term(n, p, w))
+    return math.exp(_log_mixed_of(p)(n, w))
 
 
-def _log_mixed_term(n: int, p: float, w: int) -> float:
-    """Natural logarithm of the mixed term; needs 0 <= p < 1."""
+def _log_mixed_of(p: float) -> Callable[[int, int], float]:
+    """log_mixed(n, k), the natural logarithm of the mixed term of weight k
+    at n qubits, with the logarithms of 1 +- p taken once.  The one
+    implementation of the mixed term; needs 0 <= p < 1."""
     log_plus = math.log1p(p)
     log_minus = math.log1p(-p)
-    first = (n - w) * log_plus + w * log_minus - (n + 1) * _LOG2
-    second = (n - w) * log_minus + w * log_plus - (n + 1) * _LOG2
-    return _logaddexp(first, second)
+
+    def log_mixed(n: int, k: int) -> float:
+        scale = (n + 1) * _LOG2
+        first = (n - k) * log_plus + k * log_minus - scale
+        second = (n - k) * log_minus + k * log_plus - scale
+        return _logaddexp(first, second)
+
+    return log_mixed
+
+
+def _min_eigenvalue_of(p: float, w: int) -> Callable[[int], float]:
+    """n -> min(mixed(w) - p^n/2, mixed(n // 2)), which is
+    min_eigenvalue_teleported_ghz(n, p, w), with the logarithms of 1 +- p
+    taken once per (p, w).  Needs 0 < p < 1 and n > w >= 1.
+
+    The printed min_eigenvalue digits come from this value, so any change
+    to how it leaves log space (one math.exp per term) changes ppt-scan
+    output.  A negative first candidate is the minimum, as the second, an
+    exp, is at least 0.0; so the second is evaluated only when the first is
+    not."""
+    log_mixed = _log_mixed_of(p)
+
+    def min_eigenvalue(n: int) -> float:
+        critical = math.exp(log_mixed(n, w)) - p**n / 2
+        if critical < 0.0:
+            return critical
+        return min(critical, math.exp(log_mixed(n, n // 2)))
+
+    return min_eigenvalue
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -69,7 +95,9 @@ def min_eigenvalue_teleported_ghz(n: int, p: float, w: int) -> float:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"visibility {p} outside (0, 1]")
     _check_cut(n, w)
-    return min(_mixed_term(n, p, w) - p**n / 2, _mixed_term(n, p, n // 2))
+    if p == 1.0:
+        return -0.5  # mixed(w) = 0 and mixed(n // 2) = 0 for 1 <= w < n
+    return _min_eigenvalue_of(p, w)(n)
 
 
 def min_eigenvalue_log(n: int, p: float, w: int) -> tuple[int, float]:
@@ -83,7 +111,8 @@ def min_eigenvalue_log(n: int, p: float, w: int) -> tuple[int, float]:
     if not 0.0 < p < 1.0:
         raise ValueError(f"visibility {p} outside (0, 1)")
     _check_cut(n, w)
-    mixed = _log_mixed_term(n, p, w)
+    log_mixed = _log_mixed_of(p)
+    mixed = log_mixed(n, w)
     shift = n * math.log(p) - _LOG2
     if mixed == shift:
         return 0, -math.inf
@@ -91,7 +120,7 @@ def min_eigenvalue_log(n: int, p: float, w: int) -> tuple[int, float]:
     log_critical = high + math.log1p(-math.exp(low - high))
     if mixed < shift:
         return -1, log_critical
-    return 1, min(log_critical, _log_mixed_term(n, p, n // 2))
+    return 1, min(log_critical, log_mixed(n, n // 2))
 
 
 def is_ppt_teleported_ghz(n: int, p: float, w: int) -> bool:

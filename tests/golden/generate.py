@@ -169,6 +169,8 @@ PPT_CASES = [
     _scan("700,800", "0.9", 1),
     _scan("1100", "0.5", 550),
     _scan("500,600,700", "0.5", 2),
+    # a repeated p, whose rows repeat, and underflowing rows between others
+    _scan("2,500,1100,2000", "0.5,0.01,0.5,0.9", 1),
     # a crossover at n0 = 42,832,822,558
     _scan("2:3", "0.999999999", 1),
     # n0 is the first passing size, not the last NPT one: n0 = 5 for both p,
@@ -185,6 +187,9 @@ PPT_CASES = [
     _scan("2:3", ",", 1),
     _scan("2:3", "0.9", HUGE),
     _scan(str(10**400 + 1), "0.9", HUGE),
+    # a valid first row, then one whose n overflows a float: the output is
+    # all or nothing, so not even the header is written
+    _scan(f"5,{HUGE}", "0.9", 1),
     ["ppt-scan", "--n", "2:3"],
     ["ppt-scan", "--n", "2:3", "--p", "0.9", "--w", "x"],
     # a range longer than graphs.MAX_SIZE, refused before it is expanded

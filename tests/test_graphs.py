@@ -150,6 +150,46 @@ def test_distance_and_diameter():
         _bfs_distances(p5, 9)
 
 
+def _plain_bfs(g: Graph, source: int) -> list:
+    """Distances from source by a BFS that scans every arc of every vertex
+    it reaches, over neighbour sets rebuilt from the edge set."""
+    neighbours = {v: set() for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        following = []
+        for u in frontier:
+            for v in neighbours[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    following.append(v)
+        frontier = following
+    return [dist.get(v, INFINITE) for v in range(g.vertex_count)]
+
+
+def test_bfs_distances_equal_a_plain_bfs():
+    # the BFS stops once every vertex is labelled; the plain one never does
+    rng = random.Random(3030)
+    graphs_ = [Graph(1, []), Graph(4, [(0, 1), (2, 3)]), Graph(6, [(0, 1), (1, 2), (3, 4)])]
+    graphs_ += [complete_graph(n) for n in (2, 3, 7, 20)]
+    graphs_ += [grid_graph(n, k) for n, k in ((2, 4), (3, 3), (4, 2), (5, 2))]
+    for _ in range(150):
+        n = rng.randint(1, 30)
+        density = rng.choice((0.05, 0.15, 0.4, 0.9))
+        pairs = [pair for pair in combinations(range(n), 2) if rng.random() < density]
+        graphs_.append(Graph(n, pairs))
+    disconnected = 0
+    for g in graphs_:
+        for source in range(g.vertex_count):
+            expected = _plain_bfs(g, source)
+            assert _bfs_distances(g, source) == expected, (g, source)
+            disconnected += INFINITE in expected
+    assert disconnected >= 100
+
+
 def test_edge_connectivity_examples():
     assert edge_connectivity(complete_graph(5)) == 4
     assert edge_connectivity(cycle_graph(6)) == 2

@@ -12,7 +12,15 @@ from helpers import exact_min_eigenvalue
 from isonet import is_ppt_teleported_ghz, min_eigenvalue_teleported_ghz, ppt_crossover
 import isonet.spectra
 from isonet.hilbert import ghz_basis, is_ppt, partial_transpose
-from isonet.spectra import _logaddexp, _mixed_term, _ppt_sign_test, min_eigenvalue_log
+from isonet.cli import _fmt_min_eigenvalue
+from isonet.spectra import (
+    _log_mixed_of,
+    _logaddexp,
+    _min_eigenvalue_of,
+    _mixed_term,
+    _ppt_sign_test,
+    min_eigenvalue_log,
+)
 from isonet.verification import (
     _class_scan_min_eigenvalues,
     _linear_crossover,
@@ -305,6 +313,58 @@ def test_min_eigenvalue_matches_exact_decimal():
         assert math.isclose(value, float(exact), rel_tol=1e-12, abs_tol=0.0), (n, p, w)
         compared += 1
     assert compared >= 2000
+
+
+def _reference_log_mixed(n: int, p: float, w: int) -> float:
+    """The mixed term's logarithm as one function of (n, p, w), both
+    logarithms of 1 +- p taken on every call."""
+    log_plus = math.log1p(p)
+    log_minus = math.log1p(-p)
+    first = (n - w) * log_plus + w * log_minus - (n + 1) * math.log(2.0)
+    second = (n - w) * log_minus + w * log_plus - (n + 1) * math.log(2.0)
+    return _logaddexp(first, second)
+
+
+def _reference_min_eigenvalue(n: int, p: float, w: int) -> float:
+    mixed_w = math.exp(_reference_log_mixed(n, p, w))
+    return min(mixed_w - p**n / 2, math.exp(_reference_log_mixed(n, p, n // 2)))
+
+
+def _reference_text(n: int, p: float, w: int) -> str:
+    """The printed min_eigenvalue as ppt-scan wrote it per row: the float's
+    12 significant digits, or, where it underflows, its digits from
+    min_eigenvalue_log."""
+    value = _reference_min_eigenvalue(n, p, w)
+    if value != 0.0:
+        return f"{value:.12g}"
+    sign, log_abs = min_eigenvalue_log(n, p, w)
+    if sign == 0:
+        return "0"
+    log10_abs = log_abs / math.log(10.0)
+    exponent = math.floor(log10_abs)
+    digits, _, carry = f"{10.0 ** (log10_abs - exponent):.11e}".partition("e")
+    digits = digits.rstrip("0").rstrip(".")
+    return f"{'-' if sign < 0 else ''}{digits}e{exponent + int(carry):+03d}"
+
+
+def test_kernel_equals_the_per_call_formula_bit_for_bit():
+    # the per-(p, w) kernel takes the logarithms of 1 +- p once; every float
+    # operation after that is the per-call formula's, in its order
+    rng = random.Random(3030)
+    underflowed = 0
+    for _ in range(3000):
+        n = rng.randint(2, 5000)
+        w = rng.randint(1, min(n - 1, 8)) if rng.random() < 0.5 else rng.randint(1, n - 1)
+        p = rng.random() if rng.random() < 0.5 else 1.0 - 10.0 ** -rng.uniform(1.0, 7.0)
+        log_mixed = _log_mixed_of(p)
+        for k in (w, n // 2):
+            assert log_mixed(n, k) == _reference_log_mixed(n, p, k), (n, p, k)
+        value = _min_eigenvalue_of(p, w)(n)
+        assert value == _reference_min_eigenvalue(n, p, w), (n, p, w)
+        assert value == min_eigenvalue_teleported_ghz(n, p, w), (n, p, w)
+        assert _fmt_min_eigenvalue(value, n, p, w) == _reference_text(n, p, w), (n, p, w)
+        underflowed += value == 0.0
+    assert underflowed >= 1000
 
 
 def test_crossover_monotone_in_cut_size_and_visibility():
